@@ -1,13 +1,12 @@
 //! Crash-point explorer for the WAL (`mube-serve/src/persist.rs`).
 //!
 //! Rather than interleaving threads, this model enumerates *crash points*:
-//! it builds a WAL image with the production frame format —
-//! `[len: u32 LE][crc: u32 LE][payload]`, payload =
-//! `[lsn: u64 LE][tag: u8][body]`, CRC = [`mube_serve::persist::crc32`]
-//! over the payload (the real function, so the model cannot drift from the
-//! codec) — then truncates it at **every byte offset** (every record *and*
-//! intra-record boundary) and replays with the same scan rules as
-//! production recovery. The invariant, for every cut:
+//! it builds a WAL image with the production frame encoder
+//! ([`mube_serve::frame::encode_frame`]), truncates it at **every byte
+//! offset** (every record *and* intra-record boundary), and replays each
+//! cut with the production slice scanner ([`mube_serve::frame::scan`]) at
+//! the frame layer — the model bodies are opaque bytes, not events, so
+//! nothing here re-implements the codec. The invariant, for every cut:
 //!
 //! 1. **Prefix consistency**: the replayed records are exactly the first
 //!    `k` appended records, for some `k` — never reordered, invented, or
@@ -29,83 +28,30 @@
 //! snapshot plus the surviving tail, stay writable, and recover the same
 //! state again on a second open.
 
-use mube_serve::persist::{crc32, Event, FsyncPolicy, Journal};
+use mube_serve::frame::{self, RawFrame, Scan};
+use mube_serve::persist::{Event, FsyncPolicy, Journal};
 use std::path::Path;
-
-/// Mirrors the production `MAX_RECORD_BYTES` length-sanity bound.
-const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
 
 /// One replayed record: `(lsn, tag, body)`.
 pub type Record = (u64, u8, Vec<u8>);
 
-/// Outcome of replaying a (possibly truncated or corrupted) WAL image.
-#[derive(Debug, PartialEq, Eq)]
-pub struct Replay {
-    /// Records recovered, in append order.
-    pub records: Vec<Record>,
-    /// Bytes consumed by good records (the quarantine boundary).
-    pub good_len: usize,
-    /// Bytes past `good_len` (what production moves to `quarantine-N.wal`).
-    pub quarantined: usize,
+/// Encodes one model record with the production encoder.
+fn encode((lsn, tag, body): &Record) -> Vec<u8> {
+    frame::encode_frame(*lsn, *tag, body).expect("model records are small")
 }
 
-/// Encodes one frame exactly as `persist.rs` does.
+/// Replays a WAL image with the production slice scanner: it stops at the
+/// first torn header, implausible length, torn body, or CRC mismatch, and
+/// production quarantines everything after `good_len`.
 #[must_use]
-pub fn encode_frame(lsn: u64, tag: u8, body: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(9 + body.len());
-    payload.extend_from_slice(&lsn.to_le_bytes());
-    payload.push(tag);
-    payload.extend_from_slice(body);
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("small payload")
-            .to_le_bytes(),
-    );
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
-}
-
-/// Replays a WAL image with the production scan rules: stop at the first
-/// torn header, implausible length, torn body, or CRC mismatch; everything
-/// after that is quarantined.
-#[must_use]
-pub fn replay(data: &[u8]) -> Replay {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < data.len() {
-        if pos + 8 > data.len() {
-            break; // torn frame header
-        }
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
-        if !(9..=MAX_RECORD_BYTES).contains(&len) {
-            break; // implausible record length
-        }
-        let body_end = pos + 8 + len as usize;
-        if body_end > data.len() {
-            break; // torn record body
-        }
-        let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let payload = &data[pos + 8..body_end];
-        if crc32(payload) != crc {
-            break; // CRC mismatch
-        }
-        let lsn = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        records.push((lsn, payload[8], payload[9..].to_vec()));
-        pos = body_end;
-    }
-    Replay {
-        records,
-        good_len: pos,
-        quarantined: data.len() - pos,
-    }
+pub fn replay(data: &[u8]) -> Scan<Record> {
+    frame::scan(data, |f: RawFrame<'_>| Ok((f.lsn, f.tag, f.body.to_vec())))
 }
 
 /// The modeled WAL: four records with varied body sizes (including an
 /// empty body, so a frame boundary can sit 9 bytes after a header).
 #[must_use]
-pub fn model_wal() -> Vec<(u64, u8, Vec<u8>)> {
+pub fn model_wal() -> Vec<Record> {
     vec![
         (1, 1, b"insert site0001".to_vec()),
         (2, 2, Vec::new()),
@@ -121,10 +67,7 @@ pub fn model_wal() -> Vec<(u64, u8, Vec<u8>)> {
 /// When any cut violates prefix consistency or tail accounting.
 pub fn check_all_crash_points() -> usize {
     let committed = model_wal();
-    let frames: Vec<Vec<u8>> = committed
-        .iter()
-        .map(|(lsn, tag, body)| encode_frame(*lsn, *tag, body))
-        .collect();
+    let frames: Vec<Vec<u8>> = committed.iter().map(encode).collect();
     let full: Vec<u8> = frames.concat();
     let mut boundaries = vec![0usize];
     for f in &frames {
@@ -133,6 +76,8 @@ pub fn check_all_crash_points() -> usize {
 
     for cut in 0..=full.len() {
         let r = replay(&full[..cut]);
+        let good_len = r.good_len as usize;
+        let quarantined = cut - good_len;
         // Prefix consistency: recovered records are exactly the first k.
         assert!(
             r.records.len() <= committed.len(),
@@ -142,19 +87,19 @@ pub fn check_all_crash_points() -> usize {
             assert_eq!(got, want, "cut {cut}: replay diverged from the prefix");
         }
         // Tail accounting is exact.
-        assert_eq!(r.good_len + r.quarantined, cut, "cut {cut}: byte leak");
+        assert!(good_len <= cut, "cut {cut}: byte leak");
         assert_eq!(
-            r.good_len,
+            good_len,
             boundaries[r.records.len()],
             "cut {cut}: good_len off a frame boundary"
         );
         // A cut on a frame boundary is clean; off-boundary cuts quarantine
         // exactly the partial tail.
         if let Some(k) = boundaries.iter().position(|&b| b == cut) {
-            assert_eq!(r.quarantined, 0, "cut {cut}: clean cut quarantined bytes");
+            assert_eq!(quarantined, 0, "cut {cut}: clean cut quarantined bytes");
             assert_eq!(r.records.len(), k, "cut {cut}: clean cut lost records");
         } else {
-            assert!(r.quarantined > 0, "cut {cut}: torn tail not quarantined");
+            assert!(quarantined > 0, "cut {cut}: torn tail not quarantined");
         }
     }
     full.len() + 1
@@ -168,10 +113,7 @@ pub fn check_all_crash_points() -> usize {
 /// When a corrupted image replays to something other than a prefix.
 pub fn check_all_bit_flips() -> usize {
     let committed = model_wal();
-    let full: Vec<u8> = committed
-        .iter()
-        .flat_map(|(lsn, tag, body)| encode_frame(*lsn, *tag, body))
-        .collect();
+    let full: Vec<u8> = committed.iter().flat_map(encode).collect();
     let mut explored = 0usize;
     for i in 0..full.len() {
         for bit in [0x01u8, 0x80u8] {
@@ -351,21 +293,15 @@ fn explore_snapshot_images(
 /// misreports corruption.
 pub fn check_all_snapshot_crash_points() -> usize {
     explore_snapshot_images("cut", |snap, cut| {
-        // A cut on a frame boundary leaves a well-formed (if shorter)
-        // snapshot holding however many member frames fit before the cut
-        // (the first frame is the header); everything else must be
-        // reported as corruption.
-        let mut boundary = (cut == 0).then_some(0usize);
-        let mut pos = 0usize;
-        let mut frames = 0usize;
-        while pos + 8 <= snap.len() {
-            let len = u32::from_le_bytes(snap[pos..pos + 4].try_into().expect("4 bytes"));
-            pos += 8 + len as usize;
-            frames += 1;
-            if pos == cut {
-                boundary = Some(frames.saturating_sub(1)); // minus the header
-            }
-        }
+        // A cut on a frame boundary of the intact image scans clean and
+        // leaves a well-formed (if shorter) snapshot holding however many
+        // member frames fit before the cut (the first frame is the
+        // header); everything else must be reported as corruption.
+        let prefix = replay(&snap[..cut]);
+        let boundary = prefix
+            .corruption
+            .is_none()
+            .then(|| prefix.records.len().saturating_sub(1));
         Some((snap[..cut].to_vec(), boundary))
     })
 }
@@ -423,19 +359,19 @@ mod tests {
         assert!(explored > 100, "seed snapshot too small: {explored} flips");
     }
 
-    /// The model's codec is byte-identical to production for a frame the
-    /// production tests also pin (CRC via the exported `crc32`).
+    /// Golden bytes of the production encoder: the on-disk and wire
+    /// format every journal and follower depends on.
     #[test]
     fn frame_layout_matches_production() {
-        let frame = super::encode_frame(7, 2, b"xy");
-        assert_eq!(&frame[0..4], &11u32.to_le_bytes(), "len = 8 + 1 + 2");
-        let payload = &frame[8..];
-        assert_eq!(
-            &frame[4..8],
-            &mube_serve::persist::crc32(payload).to_le_bytes()
-        );
-        assert_eq!(&payload[0..8], &7u64.to_le_bytes());
-        assert_eq!(payload[8], 2);
-        assert_eq!(&payload[9..], b"xy");
+        let frame = mube_serve::frame::encode_frame(7, 2, b"xy").unwrap();
+        #[rustfmt::skip]
+        let golden: [u8; 19] = [
+            0x0B, 0x00, 0x00, 0x00,                         // len = 8 + 1 + 2
+            0x67, 0x4A, 0x07, 0x8F,                         // CRC-32 of the payload
+            0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // lsn 7
+            0x02,                                           // tag 2
+            b'x', b'y',                                     // body
+        ];
+        assert_eq!(frame, golden);
     }
 }

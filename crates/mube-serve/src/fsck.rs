@@ -30,14 +30,13 @@
 //!   the directory scans clean and a server started on it replays to the
 //!   reported digest.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::fs::{self, OpenOptions};
 use std::path::{Path, PathBuf};
 
+use crate::frame;
 use crate::persist::{
-    crc32, digest_events, encode_event_frame, encode_snapshot_header, prune_quarantines,
-    quarantine_files, quarantine_path, scan_bytes, Event, Record, DEFAULT_QUARANTINE_KEEP,
-    MAX_RECORD_BYTES, TAG_SNAPSHOT,
+    digest_events, prune_quarantines, quarantine_files, quarantine_path, write_snapshot, Event,
+    Live, Record, DEFAULT_QUARANTINE_KEEP,
 };
 use crate::repl::DIVERGED_MARKER;
 use mube_core::jsonw::JsonBuf;
@@ -160,14 +159,14 @@ fn scan_file(dir: &Path, name: &str) -> std::io::Result<FileScan> {
         }
         Err(e) => return Err(e),
     };
-    let scan = scan_bytes(&data);
+    let scan = frame::scan(&data, Record::decode);
     let salvaged = match scan.corruption {
         Some(_) => salvage(&data, scan.good_len as usize + 1),
         None => Vec::new(),
     };
     let file = FsckFile {
         present: true,
-        bytes: scan.file_len,
+        bytes: data.len() as u64,
         records: scan.records.len() as u64,
         good_bytes: scan.good_len,
         salvaged_records: salvaged.len() as u64,
@@ -187,52 +186,18 @@ fn scan_file(dir: &Path, name: &str) -> std::io::Result<FileScan> {
     })
 }
 
-/// Tries to parse one valid frame at `pos`; `None` on anything torn,
-/// implausible, CRC-bad, or undecodable.
-fn parse_frame_at(data: &[u8], pos: usize) -> Option<(Record, usize)> {
-    if pos + 8 > data.len() {
-        return None;
-    }
-    let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-    if !(9..=MAX_RECORD_BYTES).contains(&len) {
-        return None;
-    }
-    let end = pos + 8 + len as usize;
-    if end > data.len() {
-        return None;
-    }
-    let payload = &data[pos + 8..end];
-    if crc32(payload) != crc {
-        return None;
-    }
-    if payload[8] == TAG_SNAPSHOT {
-        if payload.len() != 17 {
-            return None;
-        }
-        let through_lsn = u64::from_le_bytes(payload[9..17].try_into().expect("8 bytes"));
-        return Some((Record::Snapshot { through_lsn }, end));
-    }
-    let (lsn, event) = Event::decode_frame_payload(payload).ok()?;
-    Some((Record::Event { lsn, event }, end))
-}
-
-/// Re-synchronizes past a corrupt record: slides forward byte by byte
-/// until a valid frame parses, then resumes frame-at-a-time (sliding
-/// again on any further damage). The CRC gate makes a false resync
-/// vanishingly unlikely (~2^-32 per candidate offset), and every salvaged
-/// record is individually checksummed and decodable.
+/// Re-synchronizes past a corrupt record: scans a clean run of records
+/// from `from`, and where none starts, slides forward one byte and tries
+/// again. The CRC gate makes a false resync vanishingly unlikely (~2^-32
+/// per candidate offset), and every salvaged record is individually
+/// checksummed and decodable.
 fn salvage(data: &[u8], from: usize) -> Vec<Record> {
     let mut out = Vec::new();
     let mut pos = from;
     while pos < data.len() {
-        match parse_frame_at(data, pos) {
-            Some((rec, next)) => {
-                out.push(rec);
-                pos = next;
-            }
-            None => pos += 1,
-        }
+        let run = frame::scan(&data[pos..], Record::decode);
+        out.extend(run.records);
+        pos += (run.good_len as usize).max(1);
     }
     out
 }
@@ -251,36 +216,32 @@ fn check(dir: &Path) -> std::io::Result<FsckReport> {
 
     // Snapshot structure: exactly one header, first, horizon ≥ every
     // member event, events in strictly increasing LSN order.
-    let mut through_lsn = 0u64;
-    let mut snap_events: Vec<(u64, Event)> = Vec::new();
+    let horizon = match snap.records.first() {
+        Some(Record::Snapshot { through_lsn }) => *through_lsn,
+        _ => 0,
+    };
+    let mut prev_lsn: Option<u64> = None;
     for (i, rec) in snap.records.iter().enumerate() {
         match rec {
-            Record::Snapshot { through_lsn: t } => {
-                if i != 0 {
-                    issues.push(format!("snapshot.wal: stray snapshot header in record {i}"));
-                } else {
-                    through_lsn = *t;
-                }
+            Record::Snapshot { .. } if i == 0 => {}
+            Record::Snapshot { .. } => {
+                issues.push(format!("snapshot.wal: stray snapshot header in record {i}"));
             }
-            Record::Event { lsn, event } => {
+            Record::Event { lsn, .. } => {
                 if i == 0 {
                     issues.push("snapshot.wal: missing snapshot header".to_string());
-                }
-                if *lsn > through_lsn && i != 0 {
+                } else if *lsn > horizon {
                     issues.push(format!(
                         "snapshot.wal: record {i} has lsn {lsn} beyond the \
-                         snapshot horizon {through_lsn}"
+                         snapshot horizon {horizon}"
                     ));
                 }
-                if let Some(&(prev, _)) = snap_events.last() {
-                    if *lsn <= prev {
-                        issues.push(format!(
-                            "snapshot.wal: record {i} breaks LSN monotonicity \
-                             ({lsn} after {prev})"
-                        ));
-                    }
+                if let Some(prev) = prev_lsn.filter(|&p| *lsn <= p) {
+                    issues.push(format!(
+                        "snapshot.wal: record {i} breaks LSN monotonicity ({lsn} after {prev})"
+                    ));
                 }
-                snap_events.push((*lsn, event.clone()));
+                prev_lsn = Some(*lsn);
             }
         }
     }
@@ -288,41 +249,27 @@ fn check(dir: &Path) -> std::io::Result<FsckReport> {
     // Tail structure: event records only, strictly increasing LSNs;
     // records at or below the snapshot horizon are the benign
     // rename-then-crash overlap, counted but not flagged.
-    let mut overlap_events = 0u64;
-    let mut tail_events: Vec<(u64, Event)> = Vec::new();
-    let mut prev_tail_lsn: Option<u64> = None;
+    let mut prev_lsn: Option<u64> = None;
+    let mut tail_event_records = 0u64;
     for (i, rec) in tail.records.iter().enumerate() {
         match rec {
             Record::Snapshot { .. } => {
                 issues.push(format!("journal.wal: snapshot header in record {i}"));
             }
-            Record::Event { lsn, event } => {
-                if let Some(prev) = prev_tail_lsn {
-                    if *lsn <= prev {
-                        issues.push(format!(
-                            "journal.wal: record {i} breaks LSN monotonicity \
-                             ({lsn} after {prev})"
-                        ));
-                    }
+            Record::Event { lsn, .. } => {
+                if let Some(prev) = prev_lsn.filter(|&p| *lsn <= p) {
+                    issues.push(format!(
+                        "journal.wal: record {i} breaks LSN monotonicity ({lsn} after {prev})"
+                    ));
                 }
-                prev_tail_lsn = Some(*lsn);
-                if *lsn <= through_lsn {
-                    overlap_events += 1;
-                } else {
-                    tail_events.push((*lsn, event.clone()));
-                }
+                prev_lsn = Some(*lsn);
+                tail_event_records += 1;
             }
         }
     }
 
     // Clean-prefix replay — exactly what a server booted here would load.
-    let mut live = snap_events;
-    live.extend(tail_events);
-    live.sort_by_key(|&(lsn, _)| lsn);
-    let last_lsn = live
-        .last()
-        .map_or(through_lsn, |&(lsn, _)| lsn.max(through_lsn));
-    let replay_digest = digest_events(&live);
+    let live = Live::fold(snap.records, tail.records);
 
     let diverged = match fs::read_to_string(dir.join(DIVERGED_MARKER)) {
         Ok(text) => Some(text.trim().to_string()),
@@ -333,11 +280,11 @@ fn check(dir: &Path) -> std::io::Result<FsckReport> {
         dir: dir.to_path_buf(),
         snapshot: snap.file,
         journal: tail.file,
-        through_lsn,
-        live_events: live.len() as u64,
-        last_lsn,
-        replay_digest,
-        overlap_events,
+        through_lsn: live.through_lsn,
+        live_events: live.events.len() as u64,
+        last_lsn: live.last_lsn(),
+        replay_digest: digest_events(&live.events),
+        overlap_events: tail_event_records - live.tail_events(),
         quarantine_files: quarantine_files(dir).len() as u64,
         diverged,
         issues,
@@ -409,21 +356,7 @@ fn repair(dir: &Path, opts: &FsckOptions) -> std::io::Result<Vec<String>> {
 
     // Rebuild the snapshot atomically over everything recovered, then
     // empty the tail — the rebuilt snapshot covers it entirely.
-    let tmp = dir.join("snapshot.tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&encode_snapshot_header(last_lsn))?;
-        for (lsn, event) in &live {
-            f.write_all(&encode_event_frame(*lsn, event))?;
-        }
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, dir.join("snapshot.wal"))?;
-    if let Ok(d) = File::open(dir) {
-        // durability: best-effort directory sync, same stance as compaction —
-        // losing the rename reverts to the pre-repair state, never corrupts.
-        let _ = d.sync_all();
-    }
+    write_snapshot(dir, last_lsn, &live)?;
     let f = OpenOptions::new()
         .write(true)
         .create(true)
@@ -566,7 +499,7 @@ impl FsckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::{FsyncPolicy, Journal, SolutionRecord};
+    use crate::persist::{encode_event_frame, FsyncPolicy, Journal, SolutionRecord};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static TEST_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -750,8 +683,8 @@ mod tests {
         let dir = test_dir("monotonic");
         fs::create_dir_all(&dir).unwrap();
         let mut tail = Vec::new();
-        tail.extend_from_slice(&encode_event_frame(3, &ev_catalog(1)));
-        tail.extend_from_slice(&encode_event_frame(2, &ev_catalog(2)));
+        tail.extend_from_slice(&encode_event_frame(3, &ev_catalog(1)).unwrap());
+        tail.extend_from_slice(&encode_event_frame(2, &ev_catalog(2)).unwrap());
         fs::write(dir.join("journal.wal"), &tail).unwrap();
         let report = fsck(&dir, &FsckOptions::default()).unwrap();
         assert!(!report.clean);

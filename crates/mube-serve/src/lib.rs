@@ -35,6 +35,7 @@
 //! similarities. See `PROTOCOL.md` at the repo root for the full wire
 //! reference.
 
+pub mod frame;
 pub mod fsck;
 pub mod http;
 pub mod json;

@@ -12,15 +12,10 @@
 //!
 //! Two files live in the data directory:
 //!
-//! * `journal.wal` — the append-only tail. Each record is a frame:
-//!
-//!   ```text
-//!   [len: u32 LE] [crc: u32 LE] [payload: len bytes]
-//!   payload = [lsn: u64 LE] [tag: u8] [body]
-//!   ```
-//!
-//!   `crc` is IEEE CRC-32 over the payload. `lsn` is a monotonically
-//!   increasing log sequence number shared by both files.
+//! * `journal.wal` — the append-only tail. Each record is one
+//!   [`frame`](crate::frame) — `[len][crc][lsn][tag][body]` — whose `lsn`
+//!   is a monotonically increasing log sequence number shared by both
+//!   files.
 //!
 //! * `snapshot.wal` — a compacted prefix of the log. Its first record is a
 //!   snapshot header (`tag 0`) carrying `through_lsn`; the rest are the
@@ -49,45 +44,10 @@ use std::time::{Duration, Instant};
 
 use mube_core::{AttrId, GlobalAttribute, MediatedSchema, Solution, SourceId};
 
-/// Records larger than this are treated as corruption (a torn length
-/// prefix would otherwise ask for gigabytes).
-pub(crate) const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
+use crate::frame::{self, encode_frame, RawFrame};
 
 /// Snapshot-header record tag (never appears in [`Event`]).
-pub(crate) const TAG_SNAPSHOT: u8 = 0;
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)
-// ---------------------------------------------------------------------------
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// IEEE CRC-32 of `data` (the classic zlib/`cksum -o 3` polynomial).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
+const TAG_SNAPSHOT: u8 = 0;
 
 // ---------------------------------------------------------------------------
 // Byte codec
@@ -352,17 +312,10 @@ impl Event {
         }
     }
 
-    pub fn decode_frame_payload(payload: &[u8]) -> Result<(u64, Event), String> {
-        if payload.len() < 9 {
-            return Err(format!("payload too short: {} bytes", payload.len()));
-        }
-        let lsn = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        let event = Event::decode_body(payload[8], &mut Dec::new(&payload[9..]))?;
-        Ok((lsn, event))
-    }
-
-    fn decode_body(tag: u8, d: &mut Dec<'_>) -> DecodeResult<Event> {
-        let event = match tag {
+    /// Decodes the event an intact frame carries.
+    pub(crate) fn decode(frame: RawFrame<'_>) -> Result<Event, String> {
+        let d = &mut Dec::new(frame.body);
+        let event = match frame.tag {
             1 => Event::CatalogCreate {
                 id: d.u64()?,
                 text: d.str()?,
@@ -432,31 +385,44 @@ impl Event {
     }
 }
 
-/// Encodes one frame: `[len][crc][lsn][tag][body]`.
-pub(crate) fn encode_frame(lsn: u64, tag: u8, body: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(9 + body.len());
-    payload.extend_from_slice(&lsn.to_le_bytes());
-    payload.push(tag);
-    payload.extend_from_slice(body);
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
-}
-
-pub fn encode_event_frame(lsn: u64, event: &Event) -> Vec<u8> {
+/// Encodes one event as a frame; refuses (`InvalidInput`) an event over
+/// the frame bound.
+pub fn encode_event_frame(lsn: u64, event: &Event) -> std::io::Result<Vec<u8>> {
     let mut enc = Enc::new();
     event.encode_body(&mut enc);
     encode_frame(lsn, event.tag(), &enc.buf)
 }
 
-pub(crate) fn encode_snapshot_header(through_lsn: u64) -> Vec<u8> {
-    encode_frame(
-        through_lsn.wrapping_add(1),
-        TAG_SNAPSHOT,
-        &through_lsn.to_le_bytes(),
-    )
+/// Writes `snapshot.wal` atomically (temp file, fsync, rename): a header
+/// carrying `through_lsn`, then the frames of `live`. Shared by compaction
+/// and `mube fsck --repair`.
+pub(crate) fn write_snapshot(
+    dir: &Path,
+    through_lsn: u64,
+    live: &[(u64, Event)],
+) -> std::io::Result<()> {
+    let tmp = dir.join("snapshot.tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        let header = through_lsn.to_le_bytes();
+        f.write_all(&encode_frame(
+            through_lsn.wrapping_add(1),
+            TAG_SNAPSHOT,
+            &header,
+        )?)?;
+        for (lsn, event) in live {
+            f.write_all(&encode_event_frame(*lsn, event)?)?;
+        }
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, dir.join("snapshot.wal"))?;
+    if let Ok(d) = File::open(dir) {
+        // durability: directory sync is best-effort — some filesystems
+        // refuse fsync on a directory handle, and losing only the rename
+        // leaves the previous snapshot and the tail, which boot replays.
+        let _ = d.sync_all();
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -469,89 +435,84 @@ pub(crate) enum Record {
     Event { lsn: u64, event: Event },
 }
 
-/// Result of scanning a WAL file up to the first corruption.
-pub(crate) struct Scan {
-    pub(crate) records: Vec<Record>,
-    /// Byte offset of the first corrupt record (== file length when clean).
-    pub(crate) good_len: u64,
-    /// Total file length.
-    pub(crate) file_len: u64,
-    /// Human-readable description of the corruption, if any.
-    pub(crate) corruption: Option<String>,
-}
-
-/// Scans a WAL file, stopping at the first torn or corrupt record.
-pub(crate) fn scan_wal(path: &Path) -> std::io::Result<Scan> {
-    let data = match fs::read(path) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(Scan {
-                records: Vec::new(),
-                good_len: 0,
-                file_len: 0,
-                corruption: None,
+impl Record {
+    /// The one record decoder over an intact frame: snapshot header or
+    /// event. Boot replay, the scrubber and `mube fsck` all decode here.
+    pub(crate) fn decode(frame: RawFrame<'_>) -> Result<Record, String> {
+        if frame.tag == TAG_SNAPSHOT {
+            let mut d = Dec::new(frame.body);
+            return d
+                .u64()
+                .and_then(|through_lsn| d.done().map(|()| Record::Snapshot { through_lsn }))
+                .map_err(|e| format!("bad snapshot header: {e}"));
+        }
+        Event::decode(frame)
+            .map(|event| Record::Event {
+                lsn: frame.lsn,
+                event,
             })
-        }
-        Err(e) => return Err(e),
-    };
-    Ok(scan_bytes(&data))
+            .map_err(|e| format!("undecodable record: {e}"))
+    }
 }
 
-/// [`scan_wal`] over an in-memory image — shared with `mube fsck`, which
-/// holds the raw bytes anyway (it quarantines and salvages suffixes).
-pub(crate) fn scan_bytes(data: &[u8]) -> Scan {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    let mut corruption = None;
-    while pos < data.len() {
-        if pos + 8 > data.len() {
-            corruption = Some("torn frame header".into());
-            break;
-        }
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if !(9..=MAX_RECORD_BYTES).contains(&len) {
-            corruption = Some(format!("implausible record length {len}"));
-            break;
-        }
-        let body_end = pos + 8 + len as usize;
-        if body_end > data.len() {
-            corruption = Some("torn record body".into());
-            break;
-        }
-        let payload = &data[pos + 8..body_end];
-        if crc32(payload) != crc {
-            corruption = Some("CRC mismatch".into());
-            break;
-        }
-        let lsn = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        let tag = payload[8];
-        let body = &payload[9..];
-        if tag == TAG_SNAPSHOT {
-            let mut d = Dec::new(body);
-            match d.u64().and_then(|v| d.done().map(|()| v)) {
-                Ok(through_lsn) => records.push(Record::Snapshot { through_lsn }),
-                Err(e) => {
-                    corruption = Some(format!("bad snapshot header: {e}"));
-                    break;
-                }
-            }
-        } else {
-            match Event::decode_body(tag, &mut Dec::new(body)) {
-                Ok(event) => records.push(Record::Event { lsn, event }),
-                Err(e) => {
-                    corruption = Some(format!("undecodable record: {e}"));
-                    break;
-                }
-            }
-        }
-        pos = body_end;
+/// A WAL file's bytes; an absent file reads as empty.
+fn read_wal(path: &Path) -> std::io::Result<Vec<u8>> {
+    match fs::read(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
     }
-    Scan {
-        records,
-        good_len: pos as u64,
-        file_len: data.len() as u64,
-        corruption,
+}
+
+/// The live event set a boot over a snapshot scan and a tail scan loads.
+pub(crate) struct Live {
+    /// Snapshot members, then tail events past the horizon, in LSN order.
+    pub(crate) events: Vec<(u64, Event)>,
+    /// The snapshot header's compaction horizon (0 without one).
+    pub(crate) through_lsn: u64,
+    /// How many of `events` came from the snapshot.
+    pub(crate) snapshot_events: u64,
+}
+
+impl Live {
+    /// Folds the two scans: the snapshot header's horizon, its members,
+    /// and the tail events with `lsn > through_lsn` (a tail record at or
+    /// below it is the benign crash window between snapshot rename and
+    /// tail truncation), sorted by LSN.
+    pub(crate) fn fold(snapshot: Vec<Record>, tail: Vec<Record>) -> Live {
+        let mut through_lsn = 0u64;
+        let mut events = Vec::new();
+        for rec in snapshot {
+            match rec {
+                Record::Snapshot { through_lsn: t } => through_lsn = t,
+                Record::Event { lsn, event } => events.push((lsn, event)),
+            }
+        }
+        let snapshot_events = events.len() as u64;
+        for rec in tail {
+            if let Record::Event { lsn, event } = rec {
+                if lsn > through_lsn {
+                    events.push((lsn, event));
+                }
+            }
+        }
+        events.sort_by_key(|&(lsn, _)| lsn);
+        Live {
+            events,
+            through_lsn,
+            snapshot_events,
+        }
+    }
+
+    /// Events that came from the tail.
+    pub(crate) fn tail_events(&self) -> u64 {
+        self.events.len() as u64 - self.snapshot_events
+    }
+
+    /// The highest LSN covered: the last event's, or the horizon.
+    pub(crate) fn last_lsn(&self) -> u64 {
+        self.events
+            .last()
+            .map_or(self.through_lsn, |&(lsn, _)| lsn.max(self.through_lsn))
     }
 }
 
@@ -707,47 +668,23 @@ impl Journal {
 
         // Snapshot: atomically written, so corruption here is unexpected —
         // but tolerated the same way (good prefix wins).
-        let snap_scan = scan_wal(&dir.join("snapshot.wal"))?;
-        let mut through_lsn = 0u64;
-        let mut live: Vec<(u64, Event)> = Vec::new();
-        for rec in snap_scan.records {
-            match rec {
-                Record::Snapshot { through_lsn: t } => through_lsn = t,
-                Record::Event { lsn, event } => {
-                    report.snapshot_events += 1;
-                    live.push((lsn, event));
-                }
-            }
-        }
+        let snap_scan = frame::scan(&read_wal(&dir.join("snapshot.wal"))?, Record::decode);
         if let Some(why) = &snap_scan.corruption {
             report.corruption = Some(format!("snapshot: {why}"));
         }
 
-        // Tail: skip records already covered by the snapshot (the crash
-        // window between snapshot rename and tail truncation), quarantine
-        // anything after the first corrupt byte.
+        // Tail: quarantine anything after the first corrupt byte.
         let tail_path = dir.join("journal.wal");
-        let tail_scan = scan_wal(&tail_path)?;
-        let mut tail_records = 0u64;
-        for rec in tail_scan.records {
-            if let Record::Event { lsn, event } = rec {
-                if lsn <= through_lsn {
-                    continue;
-                }
-                report.tail_events += 1;
-                tail_records += 1;
-                live.push((lsn, event));
-            }
-        }
-        if let Some(why) = tail_scan.corruption {
-            let bad = tail_scan.file_len - tail_scan.good_len;
+        let tail_data = read_wal(&tail_path)?;
+        let tail_scan = frame::scan(&tail_data, Record::decode);
+        if let Some(why) = &tail_scan.corruption {
             let qpath = quarantine_path(dir);
-            let data = fs::read(&tail_path)?;
-            fs::write(&qpath, &data[tail_scan.good_len as usize..])?;
+            let bad = &tail_data[tail_scan.good_len as usize..];
+            fs::write(&qpath, bad)?;
             let f = OpenOptions::new().write(true).open(&tail_path)?;
             f.set_len(tail_scan.good_len)?;
             f.sync_all()?;
-            report.quarantined_bytes = bad;
+            report.quarantined_bytes = bad.len() as u64;
             report.quarantine_file = Some(qpath);
             report.corruption = Some(format!("tail: {why}"));
         }
@@ -755,12 +692,11 @@ impl Journal {
         // quarantine files, prune the rest.
         prune_quarantines(dir, quarantine_keep);
 
-        live.sort_by_key(|&(lsn, _)| lsn);
-        let next_lsn = live
-            .last()
-            .map_or(through_lsn, |&(lsn, _)| lsn.max(through_lsn))
-            + 1;
-        let events: Vec<Event> = live.iter().map(|(_, e)| e.clone()).collect();
+        let live = Live::fold(snap_scan.records, tail_scan.records);
+        report.snapshot_events = live.snapshot_events;
+        report.tail_events = live.tail_events();
+        let next_lsn = live.last_lsn() + 1;
+        let events: Vec<Event> = live.events.iter().map(|(_, e)| e.clone()).collect();
 
         let tail = OpenOptions::new()
             .create(true)
@@ -773,15 +709,15 @@ impl Journal {
                 policy,
                 last_sync: Instant::now(),
                 next_lsn,
-                live,
-                tail_records,
+                tail_records: report.tail_events,
+                live: live.events,
                 snapshot_every: snapshot_every.max(1),
                 appends: 0,
                 snapshots: 0,
                 quarantined_bytes: report.quarantined_bytes,
                 // Conservative: an on-disk snapshot may have dropped events
                 // before this boot, so treat its horizon as the drop line.
-                last_drop_through: through_lsn,
+                last_drop_through: live.through_lsn,
             }),
         };
         Ok((journal, events, report))
@@ -827,8 +763,10 @@ impl Journal {
         lsn: u64,
         event: Event,
     ) -> std::io::Result<(u64, Vec<u8>)> {
+        // Encode first: a refused event leaves the LSN, mirror and tail
+        // untouched.
+        let frame = encode_event_frame(lsn, &event)?;
         inner.next_lsn = lsn + 1;
-        let frame = encode_event_frame(lsn, &event);
         inner.tail.write_all(&frame)?;
         match inner.policy {
             FsyncPolicy::Always => {
@@ -885,7 +823,7 @@ impl Journal {
                 .live
                 .iter()
                 .filter(|&&(lsn, _)| lsn > after)
-                .map(|(lsn, event)| encode_event_frame(*lsn, event))
+                .map(|(lsn, event)| live_frame(*lsn, event))
                 .collect(),
         )
     }
@@ -897,7 +835,7 @@ impl Journal {
         inner
             .live
             .iter()
-            .map(|(lsn, event)| encode_event_frame(*lsn, event))
+            .map(|(lsn, event)| live_frame(*lsn, event))
             .collect()
     }
 
@@ -953,34 +891,15 @@ impl Journal {
     /// still serving, instead of at the next crash.
     pub fn scrub(&self) -> std::io::Result<ScrubReport> {
         let inner = self.inner.lock().expect("journal lock poisoned");
-        let snap_scan = scan_wal(&self.dir.join("snapshot.wal"))?;
-        let tail_scan = scan_wal(&self.dir.join("journal.wal"))?;
-        let mut corruption: Option<String> = None;
-        if let Some(why) = &snap_scan.corruption {
-            corruption = Some(format!(
-                "snapshot.wal: {why} at byte {}",
-                snap_scan.good_len
-            ));
-        } else if let Some(why) = &tail_scan.corruption {
-            corruption = Some(format!("journal.wal: {why} at byte {}", tail_scan.good_len));
-        }
-        let mut through_lsn = 0u64;
-        let mut disk: Vec<(u64, Event)> = Vec::new();
-        for rec in snap_scan.records {
-            match rec {
-                Record::Snapshot { through_lsn: t } => through_lsn = t,
-                Record::Event { lsn, event } => disk.push((lsn, event)),
-            }
-        }
-        for rec in tail_scan.records {
-            if let Record::Event { lsn, event } = rec {
-                if lsn > through_lsn {
-                    disk.push((lsn, event));
-                }
-            }
-        }
-        disk.sort_by_key(|&(lsn, _)| lsn);
-        let disk_digest = digest_events(&disk);
+        let snap_scan = frame::scan(&read_wal(&self.dir.join("snapshot.wal"))?, Record::decode);
+        let tail_scan = frame::scan(&read_wal(&self.dir.join("journal.wal"))?, Record::decode);
+        let corruption = [("snapshot.wal", &snap_scan), ("journal.wal", &tail_scan)]
+            .into_iter()
+            .find_map(|(name, scan)| {
+                let why = scan.corruption.as_ref()?;
+                Some(format!("{name}: {why} at byte {}", scan.good_len))
+            });
+        let disk_digest = digest_events(&Live::fold(snap_scan.records, tail_scan.records).events);
         let memory_digest = digest_events(&inner.live);
         let ok = corruption.is_none() && disk_digest == memory_digest;
         Ok(ScrubReport {
@@ -996,14 +915,7 @@ impl Journal {
     /// and truncates the tail. Caller holds the journal lock; no other lock
     /// is touched, so compaction can never deadlock against handlers.
     fn compact_locked(&self, inner: &mut JournalInner) -> std::io::Result<()> {
-        let deleted: std::collections::HashSet<u64> = inner
-            .live
-            .iter()
-            .filter_map(|(_, e)| match e {
-                Event::SessionDelete { session } => Some(*session),
-                _ => None,
-            })
-            .collect();
+        let deleted = deleted_sessions(&inner.live);
         let before = inner.live.len();
         inner.live.retain(|(_, e)| match e.session_id() {
             Some(s) => !deleted.contains(&s),
@@ -1015,22 +927,7 @@ impl Journal {
             // can no longer catch up incrementally.
             inner.last_drop_through = through_lsn;
         }
-        let tmp = self.dir.join("snapshot.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&encode_snapshot_header(through_lsn))?;
-            for (lsn, event) in &inner.live {
-                f.write_all(&encode_event_frame(*lsn, event))?;
-            }
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, self.dir.join("snapshot.wal"))?;
-        if let Ok(d) = File::open(&self.dir) {
-            // durability: directory sync is best-effort — some filesystems
-            // refuse fsync on a directory handle, and losing only the rename
-            // is the benign crash window below (boot replays the tail).
-            let _ = d.sync_all();
-        }
+        write_snapshot(&self.dir, through_lsn, &inner.live)?;
         // Crash window here is benign: boot skips tail LSNs <= through_lsn.
         inner.tail.set_len(0)?;
         inner.tail.seek(SeekFrom::Start(0))?;
@@ -1042,18 +939,18 @@ impl Journal {
     }
 }
 
+/// The frame of a live event: it was framed once already when appended,
+/// so it fits the bound.
+fn live_frame(lsn: u64, event: &Event) -> Vec<u8> {
+    encode_event_frame(lsn, event).expect("a live event fits a frame")
+}
+
 /// FNV-1a 64 over the deleted-filtered `(lsn, tag, body)` stream — the
 /// shared digest kernel behind [`Journal::state_digest`], the background
 /// scrubber, and `mube fsck`. Equal digests over equal LSN ranges mean
 /// byte-identical replayed stores.
 pub(crate) fn digest_events(live: &[(u64, Event)]) -> u64 {
-    let deleted: std::collections::HashSet<u64> = live
-        .iter()
-        .filter_map(|(_, e)| match e {
-            Event::SessionDelete { session } => Some(*session),
-            _ => None,
-        })
-        .collect();
+    let deleted = deleted_sessions(live);
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut fnv = |bytes: &[u8]| {
         for &b in bytes {
@@ -1073,6 +970,16 @@ pub(crate) fn digest_events(live: &[(u64, Event)]) -> u64 {
         fnv(&enc.buf);
     }
     hash
+}
+
+/// Sessions with a `SessionDelete` in `live`.
+fn deleted_sessions(live: &[(u64, Event)]) -> std::collections::HashSet<u64> {
+    live.iter()
+        .filter_map(|(_, e)| match e {
+            Event::SessionDelete { session } => Some(*session),
+            _ => None,
+        })
+        .collect()
 }
 
 /// First unused `quarantine-N.wal` path in `dir`.
@@ -1170,14 +1077,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC-32 check values.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"hello"), 0x3610_A686);
-    }
-
-    #[test]
     fn event_roundtrip_through_frames() {
         let events = [
             ev_catalog(1),
@@ -1190,14 +1089,10 @@ mod tests {
             Event::SessionDelete { session: 1 },
         ];
         for (i, event) in events.iter().enumerate() {
-            let frame = encode_event_frame(i as u64 + 1, event);
-            let payload = &frame[8..];
-            assert_eq!(
-                crc32(payload),
-                u32::from_le_bytes(frame[4..8].try_into().unwrap())
-            );
-            let decoded = Event::decode_body(payload[8], &mut Dec::new(&payload[9..])).unwrap();
-            assert_eq!(&decoded, event);
+            let frame = encode_event_frame(i as u64 + 1, event).unwrap();
+            let (raw, len) = frame::parse_frame(&frame).unwrap().unwrap();
+            assert_eq!((raw.lsn, len), (i as u64 + 1, frame.len()));
+            assert_eq!(&Event::decode(raw).unwrap(), event);
         }
     }
 
@@ -1248,15 +1143,12 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         // Tail holds events with LSN 1..=3.
         let mut tail = Vec::new();
-        tail.extend_from_slice(&encode_event_frame(1, &ev_catalog(1)));
-        tail.extend_from_slice(&encode_event_frame(2, &ev_session(1, 1)));
-        tail.extend_from_slice(&encode_event_frame(3, &ev_solve(1)));
+        tail.extend_from_slice(&encode_event_frame(1, &ev_catalog(1)).unwrap());
+        tail.extend_from_slice(&encode_event_frame(2, &ev_session(1, 1)).unwrap());
+        tail.extend_from_slice(&encode_event_frame(3, &ev_solve(1)).unwrap());
         fs::write(dir.join("journal.wal"), &tail).unwrap();
         // Snapshot covers LSN <= 2 and already contains those events.
-        let mut snap = encode_snapshot_header(2);
-        snap.extend_from_slice(&encode_event_frame(1, &ev_catalog(1)));
-        snap.extend_from_slice(&encode_event_frame(2, &ev_session(1, 1)));
-        fs::write(dir.join("snapshot.wal"), &snap).unwrap();
+        write_snapshot(&dir, 2, &[(1, ev_catalog(1)), (2, ev_session(1, 1))]).unwrap();
 
         let (_, replayed, report) = Journal::open(&dir, FsyncPolicy::Never, 1000).unwrap();
         assert_eq!(
@@ -1303,6 +1195,36 @@ mod tests {
         let (_, replayed, report) = Journal::open(&dir, FsyncPolicy::Always, 1000).unwrap();
         assert_eq!(replayed.len(), 3);
         assert!(report.corruption.is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn oversized_event_is_refused_before_any_byte_is_written() {
+        let dir = test_dir("oversized");
+        {
+            let (j, _, _) = Journal::open(&dir, FsyncPolicy::Always, 1000).unwrap();
+            j.append(ev_catalog(1)).unwrap();
+            let huge = Event::CatalogCreate {
+                id: 2,
+                text: "x".repeat(frame::MAX_RECORD_BYTES as usize),
+            };
+            let err = j.append_frame(huge).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert_eq!(j.last_lsn(), 1, "a refused event takes no LSN");
+            assert_eq!(j.stats().live_events, 1);
+            let (lsn, _) = j.append_frame(ev_session(1, 1)).unwrap();
+            assert_eq!(lsn, 2, "no LSN gap after the refusal");
+        }
+        let (j, replayed, report) = Journal::open(&dir, FsyncPolicy::Always, 1000).unwrap();
+        assert!(report.corruption.is_none(), "{report:?}");
+        assert_eq!(report.quarantined_bytes, 0);
+        assert_eq!(replayed, vec![ev_catalog(1), ev_session(1, 1)]);
+        let lsns: Vec<u64> = j
+            .all_frames()
+            .iter()
+            .map(|f| frame::parse_frame(f).unwrap().unwrap().0.lsn)
+            .collect();
+        assert_eq!(lsns, vec![1, 2]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1420,9 +1342,9 @@ mod tests {
         j.append(ev_session(1, 1)).unwrap();
         let frames = j.frames_after(1).unwrap();
         assert_eq!(frames.len(), 1);
-        let (lsn, event) = Event::decode_frame_payload(&frames[0][8..]).unwrap();
-        assert_eq!(lsn, 2);
-        assert_eq!(event, ev_session(1, 1));
+        let (raw, _) = frame::parse_frame(&frames[0]).unwrap().unwrap();
+        assert_eq!(raw.lsn, 2);
+        assert_eq!(Event::decode(raw).unwrap(), ev_session(1, 1));
         // Trigger a dropping compaction (delete makes the 3rd tail record).
         j.append(Event::SessionDelete { session: 1 }).unwrap();
         assert!(

@@ -45,7 +45,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::persist::{crc32, encode_frame, Event, Journal, MAX_RECORD_BYTES};
+use crate::frame::{encode_frame, parse_frame, RawFrame};
+use crate::persist::{Event, Journal};
 use crate::server::ServerState;
 
 /// Replication hello magic (8 bytes, versioned).
@@ -93,27 +94,11 @@ const DRAIN_ACK_TIMEOUT: Duration = Duration::from_secs(5);
 // Incremental frame reader
 // ---------------------------------------------------------------------------
 
-/// One decoded replication frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// The frame's LSN (leader's last LSN for heartbeats, 0 for resets).
-    pub lsn: u64,
-    /// Record tag: 1–5 events, 250 heartbeat, 251 reset.
-    pub tag: u8,
-    /// The full payload (`[lsn][tag][body]`), for event decoding.
-    pub payload: Vec<u8>,
-}
-
-impl Frame {
-    /// The body after the 9-byte `[lsn][tag]` prefix.
-    pub fn body(&self) -> &[u8] {
-        &self.payload[9..]
-    }
-}
-
-/// An incremental WAL-frame decoder over a byte stream. Feed it whatever
-/// the socket yields; it emits complete frames and reports torn/corrupt
-/// input as an error (the caller drops the connection and re-requests).
+/// An incremental WAL-frame decoder over a byte stream: the stream mode
+/// of [`parse_frame`]. Feed it whatever the socket yields; it emits
+/// complete frames, treats a torn frame as "need more bytes", and reports
+/// a bad length or CRC as an error (the caller drops the connection and
+/// re-requests).
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -135,46 +120,30 @@ impl FrameReader {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Next complete frame: `Ok(None)` means more bytes are needed;
-    /// `Err` means the stream is corrupt from here on.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, String> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 8 {
-            return Ok(None);
+    /// Next complete frame, borrowed from the reader's buffer: `Ok(None)`
+    /// means more bytes are needed; `Err` means the stream is corrupt from
+    /// here on.
+    pub fn next_frame(&mut self) -> Result<Option<RawFrame<'_>>, String> {
+        match parse_frame(&self.buf[self.pos..]) {
+            Ok(Some((frame, len))) => {
+                self.pos += len;
+                Ok(Some(frame))
+            }
+            Ok(None) => Ok(None),
+            Err(stop) if stop.is_torn() => Ok(None),
+            Err(stop) => Err(stop.to_string()),
         }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(avail[4..8].try_into().expect("4 bytes"));
-        if !(9..=MAX_RECORD_BYTES).contains(&len) {
-            return Err(format!("implausible frame length {len}"));
-        }
-        let total = 8 + len as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let payload = &avail[8..total];
-        if crc32(payload) != crc {
-            return Err("frame CRC mismatch".to_string());
-        }
-        let lsn = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        let tag = payload[8];
-        let frame = Frame {
-            lsn,
-            tag,
-            payload: payload.to_vec(),
-        };
-        self.pos += total;
-        Ok(Some(frame))
     }
 }
 
 /// Encodes a heartbeat frame for `(last_lsn, digest)`.
 pub fn encode_heartbeat(lsn: u64, digest: u64) -> Vec<u8> {
-    encode_frame(lsn, TAG_HEARTBEAT, &digest.to_le_bytes())
+    encode_frame(lsn, TAG_HEARTBEAT, &digest.to_le_bytes()).expect("an 8-byte body fits a frame")
 }
 
 /// Encodes the reset frame that precedes a full resync.
 pub fn encode_reset() -> Vec<u8> {
-    encode_frame(0, TAG_RESET, &[])
+    encode_frame(0, TAG_RESET, &[]).expect("an empty body fits a frame")
 }
 
 // ---------------------------------------------------------------------------
@@ -655,7 +624,7 @@ fn serve_follow_stream(
                 Ok(Some(frame)) => match frame.tag {
                     TAG_HEARTBEAT => {
                         let body: [u8; 8] = frame
-                            .body()
+                            .body
                             .try_into()
                             .map_err(|_| "heartbeat body must be 8 bytes".to_string())?;
                         heartbeat = Some((frame.lsn, u64::from_le_bytes(body)));
@@ -673,8 +642,8 @@ fn serve_follow_stream(
                         if lsn <= follower.applied.load(Ordering::SeqCst) {
                             continue; // duplicate from the backlog race
                         }
-                        let (_, event) = Event::decode_frame_payload(&frame.payload)
-                            .map_err(|e| format!("frame {lsn}: {e}"))?;
+                        let event =
+                            Event::decode(frame).map_err(|e| format!("frame {lsn}: {e}"))?;
                         apply_event(state, journal, follower, lsn, event)?;
                         applied_any = true;
                     }
@@ -1027,6 +996,10 @@ mod tests {
     use super::*;
     use crate::persist::encode_event_frame;
 
+    fn frame(lsn: u64, event: &Event) -> Vec<u8> {
+        encode_event_frame(lsn, event).unwrap()
+    }
+
     fn ev(id: u64) -> Event {
         Event::CatalogCreate {
             id,
@@ -1037,7 +1010,7 @@ mod tests {
     #[test]
     fn frame_reader_roundtrips_split_input() {
         let mut wire = Vec::new();
-        wire.extend_from_slice(&encode_event_frame(1, &ev(1)));
+        wire.extend_from_slice(&frame(1, &ev(1)));
         wire.extend_from_slice(&encode_heartbeat(1, 0xDEAD_BEEF));
         wire.extend_from_slice(&encode_reset());
         let mut reader = FrameReader::new();
@@ -1046,26 +1019,25 @@ mod tests {
         for &b in &wire {
             reader.feed(&[b]);
             while let Some(f) = reader.next_frame().unwrap() {
-                frames.push(f);
+                let event = (f.tag == 1).then(|| Event::decode(f).unwrap());
+                frames.push((f.lsn, f.tag, f.body.to_vec(), event));
             }
         }
         assert_eq!(frames.len(), 3);
-        assert_eq!(frames[0].lsn, 1);
-        let (lsn, event) = Event::decode_frame_payload(&frames[0].payload).unwrap();
-        assert_eq!((lsn, event), (1, ev(1)));
-        assert_eq!(frames[1].tag, TAG_HEARTBEAT);
+        assert_eq!((frames[0].0, frames[0].3.clone()), (1, Some(ev(1))));
+        assert_eq!(frames[1].1, TAG_HEARTBEAT);
         assert_eq!(
-            u64::from_le_bytes(frames[1].body().try_into().unwrap()),
+            u64::from_le_bytes(frames[1].2.as_slice().try_into().unwrap()),
             0xDEAD_BEEF
         );
-        assert_eq!(frames[2].tag, TAG_RESET);
-        assert!(frames[2].body().is_empty());
+        assert_eq!(frames[2].1, TAG_RESET);
+        assert!(frames[2].2.is_empty());
     }
 
     #[test]
     fn frame_reader_rejects_corrupt_and_implausible_frames() {
         // Bit flip inside the payload: CRC mismatch.
-        let mut wire = encode_event_frame(1, &ev(1));
+        let mut wire = frame(1, &ev(1));
         let n = wire.len();
         wire[n - 1] ^= 0x01;
         let mut reader = FrameReader::new();
@@ -1080,8 +1052,8 @@ mod tests {
 
     #[test]
     fn frame_reader_consumes_good_prefix_before_corruption() {
-        let mut wire = encode_event_frame(1, &ev(1));
-        let mut bad = encode_event_frame(2, &ev(2));
+        let mut wire = frame(1, &ev(1));
+        let mut bad = frame(2, &ev(2));
         let n = bad.len();
         bad[n - 2] ^= 0x80;
         wire.extend_from_slice(&bad);
@@ -1120,7 +1092,7 @@ mod tests {
         hub.register(Arc::clone(&a));
         hub.register(Arc::clone(&b));
         b.mark_dead();
-        hub.publish(&encode_event_frame(1, &ev(1)));
+        hub.publish(&frame(1, &ev(1)));
         assert_eq!(a.queue.lock().unwrap().len(), 1);
         assert_eq!(b.queue.lock().unwrap().len(), 0, "dead conns are skipped");
     }

@@ -663,25 +663,90 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
     }
 }
 
+/// A route handler: server state, request, and the path's `{id}` segment
+/// (empty when the pattern has none).
+type Handler = fn(&Arc<ServerState>, &Request, &str) -> Result<(u16, String), ApiError>;
+
+/// The route table: method, path pattern, handler. `{id}` in a pattern
+/// matches any one segment, and the pattern doubles as the bounded metrics
+/// label. Dispatch, the 405 answer and [`endpoint_label`] all read it.
+const ROUTES: &[(&str, &str, Handler)] = &[
+    ("GET", "/healthz", |s, _, _| Ok(healthz(s))),
+    ("GET", "/metrics", |s, _, _| Ok(metrics(s))),
+    ("POST", "/catalogs", |s, r, _| create_catalog(s, r)),
+    ("POST", "/sessions", |s, r, _| create_session(s, r)),
+    ("DELETE", "/sessions/{id}", |s, _, id| delete_session(s, id)),
+    ("POST", "/sessions/{id}/solve", |s, r, id| {
+        with_session(s, id, |e| solve(s, e, r))
+    }),
+    ("POST", "/sessions/{id}/execute", |s, r, id| {
+        with_session(s, id, |e| execute_session(s, e, r))
+    }),
+    ("POST", "/sessions/{id}/feedback", |s, r, id| {
+        with_session(s, id, |e| feedback(s, e, r))
+    }),
+    ("GET", "/sessions/{id}/explain", |s, _, id| {
+        with_session(s, id, explain_session)
+    }),
+    ("GET", "/sessions/{id}/lint", |s, _, id| {
+        with_session(s, id, lint_session)
+    }),
+    ("POST", "/admin/promote", |s, _, _| admin_promote(s)),
+    ("POST", "/admin/resync", |s, _, _| admin_resync(s)),
+];
+
+/// The non-empty segments of a request path.
+fn segments(path: &str) -> Vec<&str> {
+    path.split('/').filter(|s| !s.is_empty()).collect()
+}
+
+/// Matches path segments against a route pattern; yields the `{id}`
+/// segment (empty when the pattern has none).
+fn match_pattern<'p>(pattern: &str, segs: &[&'p str]) -> Option<&'p str> {
+    let mut segs = segs.iter();
+    let mut id = "";
+    for p in pattern.split('/').skip(1) {
+        match (p, segs.next()?) {
+            ("{id}", seg) => id = seg,
+            (lit, seg) if lit != *seg => return None,
+            _ => {}
+        }
+    }
+    segs.next().is_none().then_some(id)
+}
+
+/// The handler for `method` on `path` with its `{id}` segment, or the
+/// error: 405 on a known path, 404 otherwise.
+fn resolve<'p>(method: &str, path: &'p str) -> Result<(Handler, &'p str), ApiError> {
+    let segs = segments(path);
+    let mut known_path = false;
+    for &(m, pattern, handler) in ROUTES {
+        if let Some(id) = match_pattern(pattern, &segs) {
+            if m == method {
+                return Ok((handler, id));
+            }
+            known_path = true;
+        }
+    }
+    Err(if known_path {
+        ApiError::new(
+            405,
+            "method_not_allowed",
+            &format!("{method} is not supported on {path}"),
+        )
+    } else {
+        ApiError::new(404, "not_found", &format!("no route for {path}"))
+    })
+}
+
 /// Normalizes a request to a bounded-cardinality metrics label, e.g.
 /// `POST /sessions/{id}/solve`.
 fn endpoint_label(method: &str, path: &str) -> String {
-    let segs: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    let norm = match segs.as_slice() {
-        ["healthz"] => "/healthz",
-        ["metrics"] => "/metrics",
-        ["catalogs"] => "/catalogs",
-        ["sessions"] => "/sessions",
-        ["sessions", _] => "/sessions/{id}",
-        ["sessions", _, "solve"] => "/sessions/{id}/solve",
-        ["sessions", _, "execute"] => "/sessions/{id}/execute",
-        ["sessions", _, "feedback"] => "/sessions/{id}/feedback",
-        ["sessions", _, "explain"] => "/sessions/{id}/explain",
-        ["sessions", _, "lint"] => "/sessions/{id}/lint",
-        ["admin", "promote"] => "/admin/promote",
-        ["admin", "resync"] => "/admin/resync",
-        _ => "/unknown",
-    };
+    let segs = segments(path);
+    let norm = ROUTES
+        .iter()
+        .find(|(_, pattern, _)| match_pattern(pattern, &segs).is_some())
+        .map_or("/unknown", |&(_, pattern, _)| pattern);
     format!("{method} {norm}")
 }
 
@@ -761,9 +826,8 @@ fn conflict_error(e: &MubeError, universe: &Universe, constraints: &Constraints)
 }
 
 fn route(state: &Arc<ServerState>, req: &Request) -> (u16, String) {
-    let segs: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    let draining = state.draining.load(Ordering::SeqCst);
-    if draining && req.method != "GET" {
+    let segs = segments(&req.path);
+    if state.draining.load(Ordering::SeqCst) && req.method != "GET" {
         return (
             503,
             error_body("draining", "server is shutting down", |_| {}),
@@ -807,43 +871,7 @@ fn route(state: &Arc<ServerState>, req: &Request) -> (u16, String) {
             }),
         );
     }
-    let result = match (req.method.as_str(), segs.as_slice()) {
-        ("GET", ["healthz"]) => Ok(healthz(state, draining)),
-        ("GET", ["metrics"]) => Ok(metrics(state)),
-        ("POST", ["catalogs"]) => create_catalog(state, req),
-        ("POST", ["sessions"]) => create_session(state, req),
-        ("POST", ["sessions", id, "solve"]) => with_session(state, id, |e| solve(state, e, req)),
-        ("POST", ["sessions", id, "execute"]) => {
-            with_session(state, id, |e| execute_session(state, e, req))
-        }
-        ("POST", ["sessions", id, "feedback"]) => {
-            with_session(state, id, |e| feedback(state, e, req))
-        }
-        ("GET", ["sessions", id, "explain"]) => with_session(state, id, explain_session),
-        ("GET", ["sessions", id, "lint"]) => with_session(state, id, lint_session),
-        ("DELETE", ["sessions", id]) => delete_session(state, id),
-        ("POST", ["admin", "promote"]) => admin_promote(state),
-        ("POST", ["admin", "resync"]) => admin_resync(state),
-        (
-            _,
-            ["healthz"]
-            | ["metrics"]
-            | ["catalogs"]
-            | ["sessions"]
-            | ["sessions", _]
-            | ["sessions", _, "solve" | "execute" | "feedback" | "explain" | "lint"]
-            | ["admin", "promote" | "resync"],
-        ) => Err(ApiError::new(
-            405,
-            "method_not_allowed",
-            &format!("{} is not supported on {}", req.method, req.path),
-        )),
-        _ => Err(ApiError::new(
-            404,
-            "not_found",
-            &format!("no route for {}", req.path),
-        )),
-    };
+    let result = resolve(&req.method, &req.path).and_then(|(handler, id)| handler(state, req, id));
     let (status, body) = match result {
         Ok(ok) => ok,
         Err(e) => (e.status, e.body),
@@ -897,11 +925,12 @@ fn with_session(
 // Handlers
 // ---------------------------------------------------------------------
 
-fn healthz(state: &ServerState, draining: bool) -> (u16, String) {
+fn healthz(state: &ServerState) -> (u16, String) {
     let mut j = JsonBuf::new();
     j.begin_obj();
     j.key("status").str_value("ok");
-    j.key("draining").bool_value(draining);
+    j.key("draining")
+        .bool_value(state.draining.load(Ordering::SeqCst));
     j.key("sessions")
         .uint_value(state.store.sessions_len() as u64);
     j.key("role")
@@ -2002,6 +2031,27 @@ mod tests {
             "POST /admin/resync"
         );
         assert_eq!(endpoint_label("GET", "/x/y/z/w"), "GET /unknown");
+        assert_eq!(
+            resolve("GET", "/x/y/z/w").err().map(|e| e.status),
+            Some(404)
+        );
+
+        // Every route has its own label, and every other method on its
+        // path is a 405.
+        let mut labels = std::collections::HashSet::new();
+        for &(method, pattern, _) in ROUTES {
+            let path = pattern.replace("{id}", "42");
+            let label = endpoint_label(method, &path);
+            assert_eq!(label, format!("{method} {pattern}"));
+            assert!(labels.insert(label), "{method} {pattern} is listed twice");
+            assert!(resolve(method, &path).is_ok(), "{method} {path}");
+            for other in ["GET", "POST", "PUT", "DELETE", "PATCH", "HEAD"] {
+                if !ROUTES.iter().any(|&(m, p, _)| m == other && p == pattern) {
+                    let status = resolve(other, &path).err().map(|e| e.status);
+                    assert_eq!(status, Some(405), "{other} {path}");
+                }
+            }
+        }
     }
 
     #[test]

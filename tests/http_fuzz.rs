@@ -2,10 +2,12 @@
 //! request parser and the replication frame reader. Both sit on untrusted
 //! network input, so the contracts are strict — never panic, never accept
 //! corrupt input, and for the frame reader: decode the good prefix of a
-//! torn or corrupted stream, then stop cleanly.
+//! torn or corrupted stream, then stop cleanly — exactly where the file
+//! scanner over the same bytes stops.
 
 use std::io::Cursor;
 
+use mube_serve::frame::{parse_frame, scan};
 use mube_serve::persist::encode_event_frame;
 use mube_serve::repl::{encode_heartbeat, encode_reset, FrameReader, TAG_HEARTBEAT, TAG_RESET};
 use mube_serve::{http, Event};
@@ -33,6 +35,7 @@ fn render_frame(selector: u8, lsn: u64, digest: u64, text: &str) -> Vec<u8> {
                     text: text.to_string(),
                 },
             )
+            .unwrap()
         }
         1 => encode_heartbeat(lsn, digest),
         _ => encode_reset(),
@@ -174,6 +177,57 @@ proptest! {
             }
         }
         prop_assert_eq!(decoded, total);
+    }
+
+    /// The stream reader (fed in arbitrary chunks) and the slice scanner
+    /// (over the whole image) agree on a stream cut at any point, with at
+    /// most one flipped bit: the same frames, and an error exactly where
+    /// the scan stops on a bad length or CRC, never on a torn end.
+    #[test]
+    fn stream_reader_agrees_with_the_slice_scanner(
+        stream in frame_stream(),
+        splits in proptest::collection::vec(any::<u64>(), 0..6),
+        flip_at in any::<u64>(),
+        flip_bit in 0u8..10,
+        cut in any::<u64>(),
+        whole in 0u8..2,
+    ) {
+        let mut image = stream;
+        if flip_bit < 8 {
+            let at = (flip_at as usize) % image.len();
+            image[at] ^= 1 << flip_bit;
+        }
+        if whole == 0 {
+            image.truncate((cut as usize) % (image.len() + 1));
+        }
+        let sliced = scan(&image, |f| Ok((f.lsn, f.tag, f.body.to_vec())));
+        let stop = parse_frame(&image[sliced.good_len as usize..]).err();
+        let corrupt = stop.is_some_and(|s| !s.is_torn());
+
+        let mut points: Vec<usize> = splits
+            .iter()
+            .map(|&p| (p as usize) % (image.len() + 1))
+            .chain([0, image.len()])
+            .collect();
+        points.sort_unstable();
+        let mut reader = FrameReader::new();
+        let mut frames = Vec::new();
+        let mut errored = false;
+        'feed: for w in points.windows(2) {
+            reader.feed(&image[w[0]..w[1]]);
+            loop {
+                match reader.next_frame() {
+                    Ok(Some(f)) => frames.push((f.lsn, f.tag, f.body.to_vec())),
+                    Ok(None) => break,
+                    Err(_) => {
+                        errored = true;
+                        break 'feed;
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(frames, sliced.records);
+        prop_assert_eq!(errored, corrupt);
     }
 }
 
