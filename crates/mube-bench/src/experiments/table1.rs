@@ -52,7 +52,11 @@ pub fn sweep(scale: Scale) -> Vec<Row> {
 
 /// Runs the experiment and renders the Table 1 report.
 pub fn run(scale: Scale) -> String {
-    let rows = sweep(scale);
+    render(&sweep(scale))
+}
+
+/// Renders measured rows as the Table 1 report.
+pub fn render(rows: &[Row]) -> String {
     let mut out = String::from("## Table 1 — quality of GAs (universe of 200, no constraints)\n\n");
     out.push_str(&header(&[
         "sources selected",
@@ -62,7 +66,7 @@ pub fn run(scale: Scale) -> String {
         "false GAs",
     ]));
     out.push('\n');
-    for r in &rows {
+    for r in rows {
         out.push_str(&row(&[
             r.selected.to_string(),
             r.report.true_gas.to_string(),

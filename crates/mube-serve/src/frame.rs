@@ -98,21 +98,24 @@ impl fmt::Display for FrameStop {
     }
 }
 
+/// Whether a record body of `body_len` bytes fits in one frame.
+pub fn body_fits(body_len: usize) -> bool {
+    body_len <= MAX_RECORD_BYTES as usize - PREFIX_BYTES
+}
+
 /// Encodes one frame. Refuses (`InvalidInput`) a payload over
 /// [`MAX_RECORD_BYTES`], which every decoder would reject as corruption.
 pub fn encode_frame(lsn: u64, tag: u8, body: &[u8]) -> std::io::Result<Vec<u8>> {
-    let len = u32::try_from(PREFIX_BYTES + body.len())
-        .ok()
-        .filter(|&len| len <= MAX_RECORD_BYTES)
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "record body of {} bytes exceeds the {MAX_RECORD_BYTES}-byte frame bound",
-                    body.len()
-                ),
-            )
-        })?;
+    if !body_fits(body.len()) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "record body of {} bytes exceeds the {MAX_RECORD_BYTES}-byte frame bound",
+                body.len()
+            ),
+        ));
+    }
+    let len = (PREFIX_BYTES + body.len()) as u32;
     let mut frame = Vec::with_capacity(HEADER_BYTES + len as usize);
     frame.extend_from_slice(&len.to_le_bytes());
     frame.extend_from_slice(&[0; 4]);

@@ -267,17 +267,19 @@ impl Parser<'_> {
                         }
                     }
                 }
+                Some(b) if b < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are trustworthy).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    if (ch as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte at once. The input is a &str and the run
+                    // ends before an ASCII byte (or at the end), so it is
+                    // whole UTF-8 scalars.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
                     }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }

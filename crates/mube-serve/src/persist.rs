@@ -312,6 +312,27 @@ impl Event {
         }
     }
 
+    /// Bytes [`Event::encode_body`] writes, counted without encoding.
+    fn body_len(&self) -> usize {
+        match self {
+            Event::CatalogCreate { text, .. } => 8 + 4 + text.len(),
+            Event::SessionCreate { body, .. } => 8 + 8 + 4 + body.len(),
+            Event::Feedback { body, .. } => 8 + 4 + body.len(),
+            Event::Solve { solution, .. } => {
+                let qefs: usize = solution.qef_scores.iter().map(|q| 4 + q.0.len() + 16).sum();
+                let gas: usize = solution.schema.iter().map(|ga| 4 + 8 * ga.len()).sum();
+                8 + 4 + 4 * solution.sources.len() + 8 + 8 + 1 + 4 + qefs + 4 + gas
+            }
+            Event::SessionDelete { .. } => 8,
+        }
+    }
+
+    /// Whether the event fits in one journal frame, checked without
+    /// encoding it.
+    pub fn fits_frame(&self) -> bool {
+        frame::body_fits(self.body_len())
+    }
+
     /// Decodes the event an intact frame carries.
     pub(crate) fn decode(frame: RawFrame<'_>) -> Result<Event, String> {
         let d = &mut Dec::new(frame.body);
@@ -1092,8 +1113,22 @@ mod tests {
             let frame = encode_event_frame(i as u64 + 1, event).unwrap();
             let (raw, len) = frame::parse_frame(&frame).unwrap().unwrap();
             assert_eq!((raw.lsn, len), (i as u64 + 1, frame.len()));
+            assert_eq!(raw.body.len(), event.body_len(), "{event:?}");
+            assert!(event.fits_frame());
             assert_eq!(&Event::decode(raw).unwrap(), event);
         }
+    }
+
+    #[test]
+    fn fits_frame_agrees_with_the_encoder_at_the_bound() {
+        let at_bound = |extra: usize| Event::CatalogCreate {
+            id: 1,
+            text: "x".repeat(frame::MAX_RECORD_BYTES as usize - 9 - 12 + extra),
+        };
+        assert!(at_bound(0).fits_frame());
+        assert!(encode_event_frame(1, &at_bound(0)).is_ok());
+        assert!(!at_bound(1).fits_frame());
+        assert!(encode_event_frame(1, &at_bound(1)).is_err());
     }
 
     #[test]

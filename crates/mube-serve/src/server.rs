@@ -231,6 +231,23 @@ impl ServerState {
         }
     }
 
+    /// Refuses (413 `record_too_large`) an event the journal could not
+    /// frame. Handlers call it before changing any state, so a write they
+    /// acknowledge always replays and replicates.
+    fn check_journalable(&self, event: &Event) -> Result<(), ApiError> {
+        if self.journal.is_none() || event.fits_frame() {
+            return Ok(());
+        }
+        Err(ApiError::new(
+            413,
+            "record_too_large",
+            &format!(
+                "the write exceeds the journal's {}-byte record bound",
+                crate::frame::MAX_RECORD_BYTES
+            ),
+        ))
+    }
+
     /// Forces journaled events to disk — called before sessions become
     /// unreachable (deletion, eviction) so their final state survives a
     /// crash no matter the fsync policy.
@@ -1053,15 +1070,20 @@ fn create_catalog(state: &ServerState, req: &Request) -> Result<(u16, String), A
         .get("catalog")
         .and_then(Json::as_str)
         .ok_or_else(|| ApiError::new(400, "bad_request", "missing string field `catalog`"))?;
+    let mut event = Event::CatalogCreate {
+        id: 0,
+        text: text.to_string(),
+    };
+    state.check_journalable(&event)?;
     let universe = Arc::new(catalog::from_text(text)?);
     let cache = Arc::new(SimilarityCache::build(&universe, &JaccardNGram::trigram()));
     let distinct = cache.distinct_names();
     let id = state.store.insert_catalog(Arc::clone(&universe), cache);
     state.metrics.catalog_created();
-    state.journal_append(Event::CatalogCreate {
-        id,
-        text: text.to_string(),
-    });
+    if let Event::CatalogCreate { id: slot, .. } = &mut event {
+        *slot = id;
+    }
+    state.journal_append(event);
     let mut j = JsonBuf::new();
     j.begin_obj();
     j.key("catalog").uint_value(id);
@@ -1459,6 +1481,14 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, String), A
     let body = parse_body(req)?;
     let built = build_session_from_body(&state.store, state.config.max_solve_evaluations, &body)?;
     let catalog_id = built.catalog_id;
+    // Journal the raw body, so replay re-runs this handler's exact
+    // validation.
+    let mut event = Event::SessionCreate {
+        id: 0,
+        catalog_id,
+        body: req.body_utf8().unwrap_or("{}").to_string(),
+    };
+    state.check_journalable(&event)?;
 
     // Make room: sweep idle sessions first, then let the insert evict
     // more if the cap still binds.
@@ -1482,14 +1512,13 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, String), A
     let evicted_total = (swept.len() + evicted.len()) as u64;
     state.metrics.sessions_evicted(evicted_total);
 
-    // Journal the creation (raw body, so replay re-runs this handler's
-    // exact validation) and the evictions it caused; flush so the evicted
-    // sessions' final state is durable before they become unreachable.
-    state.journal_append(Event::SessionCreate {
-        id,
-        catalog_id,
-        body: req.body_utf8().unwrap_or("{}").to_string(),
-    });
+    // Journal the creation and the evictions it caused; flush so the
+    // evicted sessions' final state is durable before they become
+    // unreachable.
+    if let Event::SessionCreate { id: slot, .. } = &mut event {
+        *slot = id;
+    }
+    state.journal_append(event);
     for &session in swept.iter().chain(evicted.iter()) {
         state.journal_append(Event::SessionDelete { session });
     }
@@ -1781,6 +1810,11 @@ fn feedback(
         .get("actions")
         .and_then(Json::as_array)
         .ok_or_else(|| ApiError::new(400, "bad_request", "missing array field `actions`"))?;
+    let event = Event::Feedback {
+        session: entry.id,
+        body: req.body_utf8().unwrap_or("{}").to_string(),
+    };
+    state.check_journalable(&event)?;
     let mut session = entry.session.lock().expect("session lock poisoned");
     for (i, action) in actions.iter().enumerate() {
         // Attach the failing index: actions apply in order, so the caller
@@ -1816,10 +1850,7 @@ fn feedback(
     }
     // Journal only after every action applied: replay applies the whole
     // batch the same way, so a half-failed batch is never persisted.
-    state.journal_append(Event::Feedback {
-        session: entry.id,
-        body: req.body_utf8().unwrap_or("{}").to_string(),
-    });
+    state.journal_append(event);
     let constraints = session.constraints();
     let universe = session.universe();
     let mut j = JsonBuf::new();
@@ -2086,6 +2117,99 @@ mod tests {
             engine_code(&MubeError::UnknownQef { name: "x".into() }),
             (422, "unknown_qef")
         );
+    }
+
+    /// A write whose journal event exceeds the frame bound is refused with
+    /// a 413 before any state changes — catalog upload, session create and
+    /// feedback alike: nothing is created or applied, no LSN is taken, and
+    /// the next write journals normally.
+    #[test]
+    fn unjournalable_writes_are_refused_before_any_state_changes() {
+        let dir = std::env::temp_dir().join(format!("mube-serve-oversized-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            data_dir: Some(dir.to_string_lossy().into_owned()),
+            max_body_bytes: 80 * 1024 * 1024,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let state = &server.state;
+        let journal = state.journal.as_ref().unwrap();
+        let post = |path: &str, members: &[(&str, &str)], pad: Option<&str>| {
+            let mut body = JsonBuf::new();
+            body.begin_obj();
+            for (k, raw) in members {
+                body.key(k).raw_value(raw);
+            }
+            if let Some(pad) = pad {
+                body.key("pad").str_value(pad);
+            }
+            body.end_obj();
+            let req = Request {
+                method: "POST".into(),
+                path: path.into(),
+                headers: Vec::new(),
+                body: body.finish().into_bytes(),
+            };
+            let (status, body) = route(state, &req);
+            (status, Json::parse(&body).unwrap())
+        };
+        let error_code = |v: &Json| {
+            v.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str)
+                .map(str::to_string)
+        };
+        let huge = "x".repeat(crate::frame::MAX_RECORD_BYTES as usize);
+        let catalog = mube_core::jsonw::string("source a\n  attr title\n");
+
+        let huge_catalog = mube_core::jsonw::string(&huge);
+        let (status, v) = post("/catalogs", &[("catalog", &huge_catalog)], None);
+        drop(huge_catalog);
+        assert_eq!(
+            (status, error_code(&v)),
+            (413, Some("record_too_large".into()))
+        );
+        assert_eq!(journal.last_lsn(), 0);
+        assert_eq!(state.store.catalogs_len(), 0);
+
+        let (status, v) = post("/catalogs", &[("catalog", &catalog)], None);
+        assert_eq!(status, 201, "{v:?}");
+        assert_eq!(journal.last_lsn(), 1);
+        let id = v.get("catalog").and_then(Json::as_u64).unwrap().to_string();
+
+        let session = [
+            ("catalog", id.as_str()),
+            ("max_sources", "1"),
+            ("beta", "1"),
+        ];
+        let (status, v) = post("/sessions", &session, Some(&huge));
+        assert_eq!(
+            (status, error_code(&v)),
+            (413, Some("record_too_large".into()))
+        );
+        assert_eq!(journal.last_lsn(), 1);
+        assert_eq!(state.store.sessions_len(), 0);
+
+        let (status, v) = post("/sessions", &session, None);
+        assert_eq!(status, 201, "{v:?}");
+        assert_eq!(journal.last_lsn(), 2);
+        let sid = v.get("session").and_then(Json::as_u64).unwrap();
+
+        let feedback = format!("/sessions/{sid}/feedback");
+        let pin = [("actions", r#"[{"op":"pin","source":"a"}]"#)];
+        let (status, v) = post(&feedback, &pin, Some(&huge));
+        assert_eq!(
+            (status, error_code(&v)),
+            (413, Some("record_too_large".into()))
+        );
+        assert_eq!(journal.last_lsn(), 2);
+        let (status, v) = post(&feedback, &pin, None);
+        assert_eq!(status, 200, "{v:?}");
+        assert_eq!(journal.last_lsn(), 3);
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,16 +1,19 @@
-//! Property fuzzing of the two wire decoders in `mube-serve`: the HTTP/1.1
-//! request parser and the replication frame reader. Both sit on untrusted
-//! network input, so the contracts are strict — never panic, never accept
-//! corrupt input, and for the frame reader: decode the good prefix of a
-//! torn or corrupted stream, then stop cleanly — exactly where the file
-//! scanner over the same bytes stops.
+//! Property fuzzing of the wire decoders in `mube-serve`: the HTTP/1.1
+//! request parser, the JSON body reader, and the replication frame reader.
+//! All sit on untrusted network input, so the contracts are strict — never
+//! panic, never accept corrupt input, and for the frame reader: decode the
+//! good prefix of a torn or corrupted stream, then stop cleanly — exactly
+//! where the file scanner over the same bytes stops. The JSON reader must
+//! also read back whatever the writer emits, in time linear in the body.
 
 use std::io::Cursor;
+use std::time::{Duration, Instant};
 
+use mube_core::jsonw::{self, JsonBuf};
 use mube_serve::frame::{parse_frame, scan};
 use mube_serve::persist::encode_event_frame;
 use mube_serve::repl::{encode_heartbeat, encode_reset, FrameReader, TAG_HEARTBEAT, TAG_RESET};
-use mube_serve::{http, Event};
+use mube_serve::{http, Event, Json};
 use proptest::prelude::*;
 
 const MAX_BODY: usize = 1 << 20;
@@ -53,6 +56,32 @@ fn frame_stream() -> impl Strategy<Value = Vec<u8>> {
         },
     )
 }
+
+/// One character from a class the JSON string reader must get right:
+/// controls, the escaped specials, ASCII, the BMP on either side of the
+/// surrogate block, and astral-plane characters.
+fn json_char(class: u8, raw: u32) -> char {
+    let code = match class % 6 {
+        0 => raw % 0x20,
+        1 => [u32::from(b'"'), u32::from(b'\\'), u32::from(b'/')][raw as usize % 3],
+        2 => 0x20 + raw % 0x5f,
+        3 => 0xa0 + raw % 0xd700,
+        4 => 0xe000 + raw % 0x2000,
+        _ => 0x1_0000 + raw % 0x10_0000,
+    };
+    char::from_u32(code).expect("every class avoids the surrogate block")
+}
+
+fn json_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0u8..6, any::<u32>()), 0..64)
+        .prop_map(|cs| cs.into_iter().map(|(c, raw)| json_char(c, raw)).collect())
+}
+
+/// Fragments of JSON syntax, valid and not, for token soup.
+const JSON_TOKENS: [&str; 24] = [
+    "{", "}", "[", "]", "\"", "\\", ":", ",", "1e", "-", "0", ".", "true", "nul", "\\u", "d83d",
+    "\\ude00", " ", "é", "😀", "\u{1}", "\"k\":", "9e999", "\n",
+];
 
 /// Decodes everything the reader can produce; panics bubble up to proptest.
 fn drain(reader: &mut FrameReader) -> (usize, bool) {
@@ -229,6 +258,119 @@ proptest! {
         prop_assert_eq!(frames, sliced.records);
         prop_assert_eq!(errored, corrupt);
     }
+}
+
+proptest! {
+    #![proptest_config(config())]
+
+    /// Every string the writer emits — as a value or as a key — reads back
+    /// equal: controls, quotes, backslashes, astral characters.
+    #[test]
+    fn json_reader_reads_back_every_written_string(text in json_text()) {
+        prop_assert_eq!(Json::parse(&jsonw::string(&text)), Ok(Json::Str(text.clone())));
+        let mut j = JsonBuf::new();
+        j.begin_obj();
+        j.key(&text).str_value(&text);
+        j.end_obj();
+        let parsed = Json::parse(&j.finish()).expect("writer output parses");
+        prop_assert_eq!(parsed.get(&text).and_then(Json::as_str), Some(text.as_str()));
+    }
+
+    /// Arbitrary bytes (decoded lossily, as the server does) never panic
+    /// the reader.
+    #[test]
+    fn json_reader_never_panics_on_byte_soup(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Soups of JSON fragments and multi-byte characters never panic the
+    /// reader, and an error offset always lies inside the input.
+    #[test]
+    fn json_reader_never_panics_on_token_soup(picks in proptest::collection::vec(0usize..24, 0..64)) {
+        let text: String = picks.iter().map(|&i| JSON_TOKENS[i]).collect();
+        if let Err(e) = Json::parse(&text) {
+            prop_assert!(e.offset <= text.len(), "offset {} past {}", e.offset, text.len());
+        }
+    }
+}
+
+/// The depth cap admits 64 nested levels below the root and no more.
+#[test]
+fn json_depth_bomb_is_refused_at_the_cap() {
+    let ok = "[".repeat(65) + &"]".repeat(65);
+    assert!(Json::parse(&ok).is_ok());
+    let bomb = "[".repeat(66) + &"]".repeat(66);
+    assert_eq!(Json::parse(&bomb).unwrap_err().message, "nesting too deep");
+    let deep = "[".repeat(100_000);
+    assert!(Json::parse(&deep).is_err());
+}
+
+/// Duplicate keys are all kept in order; lookups see the last one.
+#[test]
+fn json_duplicate_keys_last_wins() {
+    let v = Json::parse(r#"{"a":1,"a":"two"}"#).unwrap();
+    assert_eq!(v.as_object().unwrap().len(), 2);
+    assert_eq!(v.get("a").and_then(Json::as_str), Some("two"));
+}
+
+/// Huge exponents: finite results parse (underflow to zero included),
+/// overflow to infinity is refused; `NaN` is not JSON, `-0` keeps its sign.
+#[test]
+fn json_numbers_at_the_edges() {
+    assert_eq!(Json::parse("1e308").unwrap().as_f64(), Some(1e308));
+    assert_eq!(Json::parse("1e-400").unwrap().as_f64(), Some(0.0));
+    for bad in ["1e309", "-1e99999", "1e99999999999999999999"] {
+        assert!(
+            Json::parse(bad)
+                .unwrap_err()
+                .message
+                .starts_with("invalid number"),
+            "{bad}"
+        );
+    }
+    assert_eq!(Json::parse("NaN").unwrap_err().message, "unexpected `N`");
+    let neg_zero = Json::parse("-0").unwrap().as_f64().unwrap();
+    assert!(neg_zero == 0.0 && neg_zero.is_sign_negative());
+}
+
+/// String errors keep their messages and byte offsets.
+#[test]
+fn json_string_errors_keep_their_offsets() {
+    for (text, offset, message) in [
+        ("\"ab\u{1}c\"", 3, "unescaped control character"),
+        ("\"é\u{1f}\"", 3, "unescaped control character"),
+        ("\"abc", 4, "unterminated string"),
+        ("\"é😀", 7, "unterminated string"),
+        ("\"a\\q\"", 4, "unknown escape `\\q`"),
+        ("\"a\\", 3, "bad escape"),
+        ("\"\\ud83d\"", 7, "lone surrogate"),
+        ("\"\\ud83d\\u0041\"", 13, "invalid low surrogate"),
+        ("\"\\ud83dx\"", 7, "lone surrogate"),
+        ("\"\\udc00\"", 7, "invalid \\u escape"),
+        ("\"\\u12G4\"", 5, "bad hex digit"),
+        ("\"\\u12", 5, "short \\u escape"),
+    ] {
+        let e = Json::parse(text).unwrap_err();
+        assert_eq!(
+            (e.offset, e.message.as_str()),
+            (offset, message),
+            "{text:?}"
+        );
+    }
+}
+
+/// A 1 MiB string body parses in time linear in its length: a reader that
+/// re-validates the rest of the input per character takes tens of seconds.
+#[test]
+fn json_one_mib_string_body_parses_promptly() {
+    let text: String = "plain ascii, é and 😀 \\\" ".repeat(40_000);
+    let body = format!("{{\"catalog\": {}}}", jsonw::string(&text));
+    assert!(body.len() >= 1 << 20);
+    let start = Instant::now();
+    let v = Json::parse(&body).unwrap();
+    let took = start.elapsed();
+    assert_eq!(v.get("catalog").and_then(Json::as_str), Some(text.as_str()));
+    assert!(took < Duration::from_secs(2), "1 MiB body took {took:?}");
 }
 
 /// Control frames round-trip through the reader with their tags intact.
