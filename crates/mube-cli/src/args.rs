@@ -1,5 +1,14 @@
-//! Hand-rolled argument parsing (no external crates).
+//! Argument parsing from one declarative table (no external crates).
+//!
+//! `COMMANDS` lists every subcommand with its positional slot, its flags
+//! and its description. One scanner walks argv against a row, small typed
+//! getters build the [`Command`], and [`usage`] renders the help text from
+//! the same rows, so the parser and the help cannot disagree.
 
+use std::str::FromStr;
+use std::time::Duration;
+
+use mube_serve::FsyncPolicy;
 use mube_synth::DomainKind;
 
 use crate::commands::CliError;
@@ -219,648 +228,695 @@ pub enum Command {
     Help,
 }
 
+/// How a flag takes its argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arity {
+    /// Present or absent; takes no value.
+    Switch,
+    /// An optional value; the last occurrence wins.
+    Value,
+    /// A value the command cannot run without.
+    Required,
+    /// A value that may be repeated; every occurrence is kept.
+    Repeat,
+}
+
+/// One flag of a subcommand.
+#[derive(Debug, Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    arity: Arity,
+    /// What the value looks like in the usage text.
+    placeholder: &'static str,
+    /// Smallest accepted integer value, checked by the scanner.
+    min: Option<u64>,
+}
+
+impl Flag {
+    const fn new(name: &'static str, arity: Arity, placeholder: &'static str) -> Self {
+        Flag {
+            name,
+            arity,
+            placeholder,
+            min: None,
+        }
+    }
+
+    const fn switch(name: &'static str) -> Self {
+        Self::new(name, Arity::Switch, "")
+    }
+
+    const fn value(name: &'static str, placeholder: &'static str) -> Self {
+        Self::new(name, Arity::Value, placeholder)
+    }
+
+    const fn at_least(self, min: u64) -> Self {
+        Flag {
+            min: Some(min),
+            ..self
+        }
+    }
+
+    fn invalid(&self, value: &str) -> CliError {
+        bad(format!(
+            "{} expects {}, got `{value}`",
+            self.name, self.placeholder
+        ))
+    }
+
+    /// The flag as the usage line shows it.
+    fn synopsis(&self) -> String {
+        let (name, placeholder) = (self.name, self.placeholder);
+        match self.arity {
+            Arity::Switch => format!("[{name}]"),
+            Arity::Value => format!("[{name} {placeholder}]"),
+            Arity::Required => format!("{name} {placeholder}"),
+            Arity::Repeat => format!("[{name} {placeholder}]..."),
+        }
+    }
+}
+
+/// A subcommand's single positional slot.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    None,
+    Required(&'static str),
+    Optional(&'static str),
+}
+
+/// One row of the table: a subcommand.
+struct Spec {
+    name: &'static str,
+    slot: Slot,
+    /// Flag groups; a group several subcommands share is declared once.
+    flags: &'static [&'static [Flag]],
+    /// The paragraph `mube help` prints for the subcommand.
+    about: &'static str,
+}
+
+impl Spec {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+
+    fn flag(&self, name: &str) -> Option<&'static Flag> {
+        self.flags().find(|flag| flag.name == name)
+    }
+}
+
+const SOURCES: Flag = Flag::value("--sources", "N").at_least(1);
+const SEED: Flag = Flag::value("--seed", "S");
+const DOMAIN: Flag = Flag::value("--domain", "books|airfares|movies|music");
+const JSON: Flag = Flag::switch("--json");
+const ADDR: Flag = Flag::value("--addr", "HOST:PORT");
+const THREADS: Flag = Flag::value("--threads", "N").at_least(1);
+const MAX: Flag = Flag::value("--max", "M").at_least(1);
+const THETA: Flag = Flag::value("--theta", "T");
+const BETA: Flag = Flag::value("--beta", "B");
+const PIN: Flag = Flag::new("--pin", Arity::Repeat, "NAME");
+const SOLVER: Flag = Flag::value("--solver", "tabu|sls|annealing|pso");
+
+/// The user's constraints (§1) besides `--max`, whose bound differs:
+/// `solve` needs at least one source, while `lint --max 0` is how MUBE010
+/// is reported.
+const CONSTRAINTS: &[Flag] = &[
+    THETA,
+    BETA,
+    PIN,
+    Flag::new("--weight", Arity::Repeat, "QEF=W"),
+];
+
+/// The solver choice; `--threads`/`--restarts` imply the default
+/// portfolio (see [`Args::solvers`]).
+const SOLVERS: &[Flag] = &[
+    SOLVER,
+    THREADS,
+    Flag::value("--portfolio", "tabu,sls,anneal[,pso]"),
+    Flag::value("--restarts", "R").at_least(1),
+];
+
+/// Every subcommand, in the order `mube help` lists them.
+static COMMANDS: &[Spec] = &[
+    Spec {
+        name: "gen",
+        slot: Slot::None,
+        flags: &[&[
+            SOURCES,
+            SEED,
+            DOMAIN,
+            Flag::switch("--paper-scale"),
+            Flag::new("--out", Arity::Required, "FILE"),
+        ]],
+        about: "Generate a synthetic catalog (60 books sources at test scale by default; \
+                --paper-scale for the paper's cardinalities)",
+    },
+    Spec {
+        name: "validate",
+        slot: Slot::Required("FILE"),
+        flags: &[],
+        about: "Parse a catalog and print per-source statistics",
+    },
+    Spec {
+        name: "match",
+        slot: Slot::Required("FILE"),
+        flags: &[&[THETA, Flag::value("--sources", "a,b,c")]],
+        about: "Run schema matching over all sources, or the --sources named (no selection)",
+    },
+    Spec {
+        name: "solve",
+        slot: Slot::Required("FILE"),
+        flags: &[
+            &[MAX],
+            CONSTRAINTS,
+            SOLVERS,
+            &[
+                SEED,
+                Flag::value("--time-budget", "MS"),
+                Flag::switch("--explain"),
+                JSON,
+            ],
+        ],
+        about: "Select at most --max sources and mediate a schema; --time-budget MS stops at \
+                the deadline and reports the best solution found so far (anytime); --json \
+                and --explain exclude each other",
+    },
+    Spec {
+        name: "scale-solve",
+        slot: Slot::None,
+        flags: &[
+            &[
+                SOURCES,
+                Flag::value("--budget", "MS"),
+                DOMAIN,
+                MAX,
+                THETA,
+                BETA,
+                Flag::value("--top-k", "K").at_least(1),
+                SEED,
+                Flag::new("--keyword", Arity::Repeat, "W"),
+                PIN,
+            ],
+            SOLVERS,
+            &[JSON],
+        ],
+        about: "Stream a synthetic universe (100,000 sources by default) and solve it \
+                hierarchically: relevance pruning keeps --top-k survivors, MinHash/LSH \
+                blocking condenses them into clusters, a coarse solve picks cluster \
+                families, and a fine solve over the expanded winners emits a validated \
+                solution; --budget MS bounds the whole pipeline",
+    },
+    Spec {
+        name: "lint",
+        slot: Slot::Required("FILE"),
+        flags: &[
+            &[Flag { min: None, ..MAX }],
+            CONSTRAINTS,
+            &[
+                Flag::value("--scale-threshold", "N"),
+                Flag::switch("--deny-warnings"),
+                JSON,
+            ],
+        ],
+        about: "Statically audit a catalog + constraints before solving; exits 2 when \
+                MUBE0xx errors (or, with --deny-warnings, any finding) are reported; \
+                --scale-threshold N warns (MUBE017) on catalogs too large for a flat solve",
+    },
+    Spec {
+        name: "lint-src",
+        slot: Slot::Optional("ROOT"),
+        flags: &[&[
+            Flag::switch("--deny"),
+            JSON,
+            Flag::value("--allowlist", "FILE"),
+        ]],
+        about: "Scan the workspace's own Rust sources under ROOT/crates (default `.`) for \
+                project invariants — wall-clock in solver code, bare unwrap, unjustified \
+                Relaxed orderings (MUBE1xx codes); exits 2 on errors (or, with --deny, any \
+                finding); `ROOT/lint-src.allow` grants path-level waivers",
+    },
+    Spec {
+        name: "exec",
+        slot: Slot::None,
+        flags: &[&[
+            SOURCES,
+            SEED,
+            DOMAIN,
+            MAX,
+            THETA,
+            BETA,
+            SOLVER,
+            Flag::value("--faults", "SPEC"),
+            Flag::value("--fault-seed", "S"),
+            Flag::value("--query", "LO..HI"),
+            JSON,
+            Flag::switch("--resolve"),
+        ]],
+        about: "Generate, solve, then execute a query over the selected sources — optionally \
+                injecting faults (--faults rate=0.3, auto[:SCALE], or per-kind rates such \
+                as unavailable=0.2,timeout=0.1); prints the degradation \
+                report, and with --resolve re-probes and re-solves around failing sources \
+                (--json and --resolve exclude each other)",
+    },
+    Spec {
+        name: "serve",
+        slot: Slot::None,
+        flags: &[&[
+            ADDR,
+            THREADS,
+            Flag::value("--data-dir", "DIR"),
+            Flag::value("--fsync", "always|interval[:MS]|never"),
+            Flag::value("--repl-addr", "HOST:PORT"),
+            Flag::value("--follow", "HOST:PORT"),
+            Flag::switch("--repl-sync"),
+            Flag::value("--promote-timeout", "MS").at_least(1),
+            Flag::value("--scrub-interval", "MS"),
+            Flag::value("--quarantine-keep", "K"),
+        ]],
+        about: "Run the HTTP/JSON session server (default 127.0.0.1:7207; see PROTOCOL.md \
+                for endpoints); --data-dir journals sessions durably and replays them on \
+                restart; --repl-addr ships the journal to followers, --follow runs a \
+                read-only replica of a leader (--repl-sync gates mutating responses on \
+                follower acks, --promote-timeout auto-promotes after MS without leader \
+                contact); --scrub-interval MS re-verifies the journal on disk against \
+                served state in the background (0 disables), --quarantine-keep K caps \
+                retained quarantine files",
+    },
+    Spec {
+        name: "promote",
+        slot: Slot::Optional("HOST:PORT"),
+        flags: &[&[ADDR]],
+        about: "Ask the follower at HOST:PORT (or --addr) to become the leader (checked: \
+                refuses when its state diverged from the leader's)",
+    },
+    Spec {
+        name: "resync",
+        slot: Slot::Optional("HOST:PORT"),
+        flags: &[&[ADDR]],
+        about: "Ask the follower at HOST:PORT (or --addr), diverged or not, to archive its \
+                journal and take a fresh full copy from its leader",
+    },
+    Spec {
+        name: "fsck",
+        slot: Slot::Required("DIR"),
+        flags: &[&[Flag::switch("--repair"), JSON]],
+        about: "Check a --data-dir journal offline: CRCs, LSN order, snapshot/tail overlap, \
+                replay digest; --repair truncates torn tails, salvages readable records \
+                past corruption, and rebuilds a clean snapshot (evidence is quarantined); \
+                exits 2 when the directory is not clean",
+    },
+    Spec {
+        name: "help",
+        slot: Slot::None,
+        flags: &[],
+        about: "Show this message",
+    },
+];
+
 fn bad(detail: impl Into<String>) -> CliError {
     CliError::Usage(detail.into())
 }
 
-fn take_value<'a, I: Iterator<Item = &'a str>>(
-    flag: &str,
-    iter: &mut I,
-) -> Result<&'a str, CliError> {
-    iter.next()
-        .ok_or_else(|| bad(format!("{flag} needs a value")))
+/// A command line scanned against one table row.
+struct Args<'a> {
+    spec: &'static Spec,
+    positional: Option<&'a str>,
+    /// Flags in argv order with their values (`""` for a switch).
+    given: Vec<(&'static str, &'a str)>,
 }
 
-fn parse_domain(s: &str) -> Result<DomainKind, CliError> {
-    match s {
-        "books" => Ok(DomainKind::Books),
-        "airfares" => Ok(DomainKind::Airfares),
-        "movies" => Ok(DomainKind::Movies),
-        "music" => Ok(DomainKind::MusicRecords),
-        other => Err(bad(format!("unknown domain `{other}`"))),
+/// Walks `argv` against `spec`: every flag must be declared and get its
+/// value, bounded values must reach their bound, and any other token not
+/// starting with `-` fills the single positional slot.
+fn scan<'a>(spec: &'static Spec, argv: &[&'a str]) -> Result<Args<'a>, CliError> {
+    let mut args = Args {
+        spec,
+        positional: None,
+        given: Vec::new(),
+    };
+    let mut tokens = argv.iter().copied();
+    while let Some(token) = tokens.next() {
+        if let Some(flag) = spec.flag(token) {
+            let value = match flag.arity {
+                Arity::Switch => "",
+                _ => tokens
+                    .next()
+                    .ok_or_else(|| bad(format!("{token} needs a value")))?,
+            };
+            if let Some(min) = flag.min {
+                if value.parse::<u64>().map_err(|_| flag.invalid(value))? < min {
+                    return Err(bad(format!("{token} must be at least {min}")));
+                }
+            }
+            args.given.push((flag.name, value));
+        } else if token.starts_with('-') {
+            return Err(bad(format!("unknown flag `{token}` for {}", spec.name)));
+        } else if matches!(spec.slot, Slot::None) || args.positional.is_some() {
+            return Err(bad(format!("unexpected argument `{token}`")));
+        } else {
+            args.positional = Some(token);
+        }
+    }
+    if let (Slot::Required(what), None) = (spec.slot, args.positional) {
+        return Err(bad(format!("{} requires {what}", spec.name)));
+    }
+    if let Some(flag) = spec
+        .flags()
+        .find(|flag| flag.arity == Arity::Required && !args.has(flag.name))
+    {
+        return Err(bad(format!("{} requires {}", spec.name, flag.synopsis())));
+    }
+    Ok(args)
+}
+
+impl<'a> Args<'a> {
+    /// Every value given for `name`, in argv order.
+    fn all(&self, name: &'static str) -> impl Iterator<Item = &'a str> + '_ {
+        assert!(
+            self.spec.flag(name).is_some(),
+            "`{}` reads {name}, which its table row does not declare",
+            self.spec.name
+        );
+        self.given
+            .iter()
+            .filter(move |(given, _)| *given == name)
+            .map(|&(_, value)| value)
+    }
+
+    fn has(&self, name: &'static str) -> bool {
+        self.all(name).next().is_some()
+    }
+
+    fn last(&self, name: &'static str) -> Option<&'a str> {
+        self.all(name).last()
+    }
+
+    fn text(&self, name: &'static str) -> Option<String> {
+        self.last(name).map(str::to_string)
+    }
+
+    fn list(&self, name: &'static str) -> Vec<String> {
+        self.all(name).map(str::to_string).collect()
+    }
+
+    /// The last value of `name` parsed as `T`, if the flag was given.
+    fn opt<T: FromStr>(&self, name: &'static str) -> Result<Option<T>, CliError> {
+        self.last(name)
+            .map(|value| {
+                value.parse().map_err(|_| {
+                    let flag = self.spec.flag(name).expect("all() checked the flag");
+                    flag.invalid(value)
+                })
+            })
+            .transpose()
+    }
+
+    fn get<T: FromStr>(&self, name: &'static str, default: T) -> Result<T, CliError> {
+        Ok(self.opt(name)?.unwrap_or(default))
+    }
+
+    /// The positional slot; present whenever the row requires it.
+    fn slot(&self) -> String {
+        self.positional.unwrap_or_default().to_string()
+    }
+
+    fn exclusive(&self, a: &'static str, b: &'static str) -> Result<(), CliError> {
+        if self.has(a) && self.has(b) {
+            return Err(bad(format!("{a} and {b} are mutually exclusive")));
+        }
+        Ok(())
+    }
+
+    fn domain(&self) -> Result<DomainKind, CliError> {
+        match self.last("--domain").unwrap_or("books") {
+            "books" => Ok(DomainKind::Books),
+            "airfares" => Ok(DomainKind::Airfares),
+            "movies" => Ok(DomainKind::Movies),
+            "music" => Ok(DomainKind::MusicRecords),
+            other => Err(bad(format!("unknown domain `{other}`"))),
+        }
+    }
+
+    fn solver(&self) -> Result<String, CliError> {
+        let solver = self.last("--solver").unwrap_or("tabu");
+        if !["tabu", "sls", "annealing", "pso"].contains(&solver) {
+            return Err(bad(format!("unknown solver `{solver}`")));
+        }
+        Ok(solver.to_string())
+    }
+
+    /// The [`SOLVERS`] group: `(solver, threads, portfolio, restarts)`.
+    fn solvers(&self) -> Result<(String, usize, Option<String>, usize), CliError> {
+        let solver = self.solver()?;
+        let threads: Option<usize> = self.opt("--threads")?;
+        let restarts = self.get("--restarts", 1)?;
+        let mut portfolio = self.text("--portfolio");
+        if let Some(spec) = &portfolio {
+            mube_opt::parse_portfolio_spec(spec).map_err(bad)?;
+        }
+        // Even `--threads 1` engages the portfolio, so thread counts can
+        // be compared on otherwise identical runs; it gets the full member
+        // mix so the threads have work to spread.
+        if portfolio.is_none() && (threads.is_some() || restarts > 1) {
+            portfolio = Some("tabu,sls,anneal,pso".to_string());
+        }
+        Ok((solver, threads.unwrap_or(1), portfolio, restarts))
+    }
+
+    fn weights(&self) -> Result<Vec<(String, f64)>, CliError> {
+        self.all("--weight")
+            .map(|spec| {
+                spec.split_once('=')
+                    .and_then(|(name, weight)| Some((name.to_string(), weight.parse().ok()?)))
+                    .ok_or_else(|| bad("--weight needs QEF=W"))
+            })
+            .collect()
+    }
+
+    fn query(&self) -> Result<(u64, u64), CliError> {
+        let Some(spec) = self.last("--query") else {
+            return Ok((0, u64::MAX));
+        };
+        let range = spec
+            .split_once("..")
+            .and_then(|(lo, hi)| Some((lo.parse().ok()?, hi.parse().ok()?)));
+        match range {
+            Some((lo, hi)) if lo <= hi => Ok((lo, hi)),
+            Some(_) => Err(bad("--query range must have LO ≤ HI")),
+            None => Err(bad("--query needs LO..HI")),
+        }
     }
 }
 
 /// Parses the argument vector (without the program name).
 pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, CliError> {
-    let mut iter = argv.iter().map(AsRef::as_ref);
-    let Some(command) = iter.next() else {
-        return Ok(Command::Help);
+    let argv: Vec<&str> = argv.iter().map(AsRef::as_ref).collect();
+    let name = match argv.first() {
+        None | Some(&("--help" | "-h")) => "help",
+        Some(name) => name,
     };
-    match command {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "gen" => {
-            let mut sources = 60usize;
-            let mut seed = 2007u64;
-            let mut domain = DomainKind::Books;
-            let mut paper_scale = false;
-            let mut out: Option<String> = None;
-            while let Some(flag) = iter.next() {
-                match flag {
-                    "--sources" => {
-                        sources = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--sources needs an integer"))?;
-                    }
-                    "--seed" => {
-                        seed = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--seed needs an integer"))?;
-                    }
-                    "--domain" => domain = parse_domain(take_value(flag, &mut iter)?)?,
-                    "--paper-scale" => paper_scale = true,
-                    "--out" => out = Some(take_value(flag, &mut iter)?.to_string()),
-                    other => return Err(bad(format!("unknown flag `{other}` for gen"))),
-                }
-            }
-            let out = out.ok_or_else(|| bad("gen requires --out FILE"))?;
-            Ok(Command::Gen {
-                sources,
-                seed,
-                domain,
-                paper_scale,
-                out,
-            })
-        }
-        "validate" => {
-            let file = iter.next().ok_or_else(|| bad("validate requires a FILE"))?;
-            if let Some(extra) = iter.next() {
-                return Err(bad(format!("unexpected argument `{extra}`")));
-            }
-            Ok(Command::Validate {
-                file: file.to_string(),
-            })
-        }
-        "match" => {
-            let file = iter
-                .next()
-                .ok_or_else(|| bad("match requires a FILE"))?
-                .to_string();
-            let mut theta = 0.75f64;
-            let mut sources = Vec::new();
-            while let Some(flag) = iter.next() {
-                match flag {
-                    "--theta" => {
-                        theta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--theta needs a number"))?;
-                    }
-                    "--sources" => {
-                        sources = take_value(flag, &mut iter)?
-                            .split(',')
-                            .map(str::trim)
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string)
-                            .collect();
-                    }
-                    other => return Err(bad(format!("unknown flag `{other}` for match"))),
-                }
-            }
-            Ok(Command::Match {
-                file,
-                theta,
-                sources,
-            })
-        }
+    let spec = COMMANDS
+        .iter()
+        .find(|spec| spec.name == name)
+        .ok_or_else(|| bad(format!("unknown command `{name}`")))?;
+    build(&scan(spec, argv.get(1..).unwrap_or_default())?)
+}
+
+/// Builds the [`Command`] for a scanned row. Given only a row's required
+/// arguments no check here fails, so every getter a row uses runs; the
+/// table test relies on that to catch a getter reading an undeclared flag.
+fn build(a: &Args) -> Result<Command, CliError> {
+    Ok(match a.spec.name {
+        "gen" => Command::Gen {
+            sources: a.get("--sources", 60)?,
+            seed: a.get("--seed", 2007)?,
+            domain: a.domain()?,
+            paper_scale: a.has("--paper-scale"),
+            out: a.text("--out").unwrap_or_default(),
+        },
+        "validate" => Command::Validate { file: a.slot() },
+        "match" => Command::Match {
+            file: a.slot(),
+            theta: a.get("--theta", 0.75)?,
+            sources: a
+                .last("--sources")
+                .unwrap_or_default()
+                .split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .map(str::to_string)
+                .collect(),
+        },
         "solve" => {
-            let file = iter
-                .next()
-                .ok_or_else(|| bad("solve requires a FILE"))?
-                .to_string();
-            let mut max = 10usize;
-            let mut theta = 0.75f64;
-            let mut beta = 2usize;
-            let mut seed = 42u64;
-            let mut solver = "tabu".to_string();
-            let mut threads = 1usize;
-            let mut threads_given = false;
-            let mut portfolio: Option<String> = None;
-            let mut restarts = 1usize;
-            let mut time_budget_ms: Option<u64> = None;
-            let mut pins = Vec::new();
-            let mut weights = Vec::new();
-            let mut explain = false;
-            let mut json = false;
-            while let Some(flag) = iter.next() {
-                match flag {
-                    "--max" => {
-                        max = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--max needs an integer"))?;
-                    }
-                    "--theta" => {
-                        theta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--theta needs a number"))?;
-                    }
-                    "--beta" => {
-                        beta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--beta needs an integer"))?;
-                    }
-                    "--seed" => {
-                        seed = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--seed needs an integer"))?;
-                    }
-                    "--solver" => {
-                        solver = take_value(flag, &mut iter)?.to_string();
-                        if !["tabu", "sls", "annealing", "pso"].contains(&solver.as_str()) {
-                            return Err(bad(format!("unknown solver `{solver}`")));
-                        }
-                    }
-                    "--threads" => {
-                        threads = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--threads needs an integer"))?;
-                        if threads == 0 {
-                            return Err(bad("--threads must be at least 1"));
-                        }
-                        threads_given = true;
-                    }
-                    "--portfolio" => {
-                        let spec = take_value(flag, &mut iter)?;
-                        mube_opt::parse_portfolio_spec(spec).map_err(bad)?;
-                        portfolio = Some(spec.to_string());
-                    }
-                    "--restarts" => {
-                        restarts = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--restarts needs an integer"))?;
-                        if restarts == 0 {
-                            return Err(bad("--restarts must be at least 1"));
-                        }
-                    }
-                    "--time-budget" => {
-                        time_budget_ms = Some(
-                            take_value(flag, &mut iter)?
-                                .parse()
-                                .map_err(|_| bad("--time-budget needs milliseconds"))?,
-                        );
-                    }
-                    "--pin" => pins.push(take_value(flag, &mut iter)?.to_string()),
-                    "--weight" => {
-                        let spec = take_value(flag, &mut iter)?;
-                        let (name, value) = spec
-                            .split_once('=')
-                            .ok_or_else(|| bad("--weight needs QEF=W"))?;
-                        let value: f64 = value.parse().map_err(|_| bad("--weight needs QEF=W"))?;
-                        weights.push((name.to_string(), value));
-                    }
-                    "--explain" => explain = true,
-                    "--json" => json = true,
-                    other => return Err(bad(format!("unknown flag `{other}` for solve"))),
-                }
-            }
-            if json && explain {
-                return Err(bad("--json and --explain are mutually exclusive"));
-            }
-            // `--threads`/`--restarts` imply portfolio mode (even
-            // `--threads 1`, so thread counts can be compared on otherwise
-            // identical runs); give it the full default member mix so the
-            // threads have work to spread.
-            if portfolio.is_none() && (threads_given || restarts > 1) {
-                portfolio = Some("tabu,sls,anneal,pso".to_string());
-            }
-            Ok(Command::Solve {
-                file,
-                max,
-                theta,
-                beta,
-                seed,
+            let (solver, threads, portfolio, restarts) = a.solvers()?;
+            a.exclusive("--json", "--explain")?;
+            Command::Solve {
+                file: a.slot(),
+                max: a.get("--max", 10)?,
+                theta: a.get("--theta", 0.75)?,
+                beta: a.get("--beta", 2)?,
+                seed: a.get("--seed", 42)?,
                 solver,
                 threads,
                 portfolio,
                 restarts,
-                time_budget_ms,
-                pins,
-                weights,
-                explain,
-                json,
-            })
-        }
-        "lint" => {
-            let file = iter
-                .next()
-                .ok_or_else(|| bad("lint requires a FILE"))?
-                .to_string();
-            let mut max: Option<usize> = None;
-            let mut theta = 0.75f64;
-            let mut beta = 2usize;
-            let mut pins = Vec::new();
-            let mut weights = Vec::new();
-            let mut scale_threshold: Option<usize> = None;
-            let mut deny_warnings = false;
-            let mut json = false;
-            while let Some(flag) = iter.next() {
-                match flag {
-                    "--max" => {
-                        max = Some(
-                            take_value(flag, &mut iter)?
-                                .parse()
-                                .map_err(|_| bad("--max needs an integer"))?,
-                        );
-                    }
-                    "--scale-threshold" => {
-                        scale_threshold = Some(
-                            take_value(flag, &mut iter)?
-                                .parse()
-                                .map_err(|_| bad("--scale-threshold needs an integer"))?,
-                        );
-                    }
-                    "--theta" => {
-                        theta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--theta needs a number"))?;
-                    }
-                    "--beta" => {
-                        beta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--beta needs an integer"))?;
-                    }
-                    "--pin" => pins.push(take_value(flag, &mut iter)?.to_string()),
-                    "--weight" => {
-                        let spec = take_value(flag, &mut iter)?;
-                        let (name, value) = spec
-                            .split_once('=')
-                            .ok_or_else(|| bad("--weight needs QEF=W"))?;
-                        let value: f64 = value.parse().map_err(|_| bad("--weight needs QEF=W"))?;
-                        weights.push((name.to_string(), value));
-                    }
-                    "--deny-warnings" => deny_warnings = true,
-                    "--json" => json = true,
-                    other => return Err(bad(format!("unknown flag `{other}` for lint"))),
-                }
+                time_budget_ms: a.opt("--time-budget")?,
+                pins: a.list("--pin"),
+                weights: a.weights()?,
+                explain: a.has("--explain"),
+                json: a.has("--json"),
             }
-            Ok(Command::Lint {
-                file,
-                max,
-                theta,
-                beta,
-                pins,
-                weights,
-                scale_threshold,
-                deny_warnings,
-                json,
-            })
         }
+        "lint" => Command::Lint {
+            file: a.slot(),
+            max: a.opt("--max")?,
+            theta: a.get("--theta", 0.75)?,
+            beta: a.get("--beta", 2)?,
+            pins: a.list("--pin"),
+            weights: a.weights()?,
+            scale_threshold: a.opt("--scale-threshold")?,
+            deny_warnings: a.has("--deny-warnings"),
+            json: a.has("--json"),
+        },
         "scale-solve" => {
-            let mut sources = 100_000usize;
-            let mut budget_ms: Option<u64> = None;
-            let mut domain = DomainKind::Books;
-            let mut max = 10usize;
-            let mut theta = 0.75f64;
-            let mut beta = 2usize;
-            let mut top_k = 1_500usize;
-            let mut seed = 2007u64;
-            let mut keywords = Vec::new();
-            let mut pins = Vec::new();
-            let mut solver = "tabu".to_string();
-            let mut threads = 1usize;
-            let mut threads_given = false;
-            let mut portfolio: Option<String> = None;
-            let mut restarts = 1usize;
-            let mut json = false;
-            while let Some(flag) = iter.next() {
-                match flag {
-                    "--sources" => {
-                        sources = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--sources needs an integer"))?;
-                        if sources == 0 {
-                            return Err(bad("--sources must be at least 1"));
-                        }
-                    }
-                    "--budget" => {
-                        budget_ms = Some(
-                            take_value(flag, &mut iter)?
-                                .parse()
-                                .map_err(|_| bad("--budget needs milliseconds"))?,
-                        );
-                    }
-                    "--domain" => domain = parse_domain(take_value(flag, &mut iter)?)?,
-                    "--max" => {
-                        max = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--max needs an integer"))?;
-                    }
-                    "--theta" => {
-                        theta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--theta needs a number"))?;
-                    }
-                    "--beta" => {
-                        beta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--beta needs an integer"))?;
-                    }
-                    "--top-k" => {
-                        top_k = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--top-k needs an integer"))?;
-                        if top_k == 0 {
-                            return Err(bad("--top-k must be at least 1"));
-                        }
-                    }
-                    "--seed" => {
-                        seed = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--seed needs an integer"))?;
-                    }
-                    "--keyword" => keywords.push(take_value(flag, &mut iter)?.to_string()),
-                    "--pin" => pins.push(take_value(flag, &mut iter)?.to_string()),
-                    "--solver" => {
-                        solver = take_value(flag, &mut iter)?.to_string();
-                        if !["tabu", "sls", "annealing", "pso"].contains(&solver.as_str()) {
-                            return Err(bad(format!("unknown solver `{solver}`")));
-                        }
-                    }
-                    "--threads" => {
-                        threads = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--threads needs an integer"))?;
-                        if threads == 0 {
-                            return Err(bad("--threads must be at least 1"));
-                        }
-                        threads_given = true;
-                    }
-                    "--portfolio" => {
-                        let spec = take_value(flag, &mut iter)?;
-                        mube_opt::parse_portfolio_spec(spec).map_err(bad)?;
-                        portfolio = Some(spec.to_string());
-                    }
-                    "--restarts" => {
-                        restarts = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--restarts needs an integer"))?;
-                        if restarts == 0 {
-                            return Err(bad("--restarts must be at least 1"));
-                        }
-                    }
-                    "--json" => json = true,
-                    other => return Err(bad(format!("unknown flag `{other}` for scale-solve"))),
-                }
-            }
-            // Same convention as `solve`: --threads/--restarts imply the
-            // full default portfolio mix.
-            if portfolio.is_none() && (threads_given || restarts > 1) {
-                portfolio = Some("tabu,sls,anneal,pso".to_string());
-            }
-            Ok(Command::ScaleSolve {
-                sources,
-                budget_ms,
-                domain,
-                max,
-                theta,
-                beta,
-                top_k,
-                seed,
-                keywords,
-                pins,
+            let (solver, threads, portfolio, restarts) = a.solvers()?;
+            Command::ScaleSolve {
+                sources: a.get("--sources", 100_000)?,
+                budget_ms: a.opt("--budget")?,
+                domain: a.domain()?,
+                max: a.get("--max", 10)?,
+                theta: a.get("--theta", 0.75)?,
+                beta: a.get("--beta", 2)?,
+                top_k: a.get("--top-k", 1_500)?,
+                seed: a.get("--seed", 2007)?,
+                keywords: a.list("--keyword"),
+                pins: a.list("--pin"),
                 solver,
                 threads,
                 portfolio,
                 restarts,
-                json,
-            })
+                json: a.has("--json"),
+            }
         }
         "exec" => {
-            let mut sources = 40usize;
-            let mut seed = 2007u64;
-            let mut domain = DomainKind::Books;
-            let mut max = 8usize;
-            let mut theta = 0.75f64;
-            let mut beta = 2usize;
-            let mut solver = "tabu".to_string();
-            let mut faults: Option<String> = None;
-            let mut fault_seed = 1u64;
-            let mut query = (0u64, u64::MAX);
-            let mut json = false;
-            let mut resolve = false;
-            while let Some(flag) = iter.next() {
-                match flag {
-                    "--sources" => {
-                        sources = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--sources needs an integer"))?;
-                    }
-                    "--seed" => {
-                        seed = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--seed needs an integer"))?;
-                    }
-                    "--domain" => domain = parse_domain(take_value(flag, &mut iter)?)?,
-                    "--max" => {
-                        max = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--max needs an integer"))?;
-                    }
-                    "--theta" => {
-                        theta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--theta needs a number"))?;
-                    }
-                    "--beta" => {
-                        beta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--beta needs an integer"))?;
-                    }
-                    "--solver" => {
-                        solver = take_value(flag, &mut iter)?.to_string();
-                        if !["tabu", "sls", "annealing", "pso"].contains(&solver.as_str()) {
-                            return Err(bad(format!("unknown solver `{solver}`")));
-                        }
-                    }
-                    "--faults" => faults = Some(take_value(flag, &mut iter)?.to_string()),
-                    "--fault-seed" => {
-                        fault_seed = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--fault-seed needs an integer"))?;
-                    }
-                    "--query" => {
-                        let spec = take_value(flag, &mut iter)?;
-                        let (lo, hi) = spec
-                            .split_once("..")
-                            .ok_or_else(|| bad("--query needs LO..HI"))?;
-                        let lo: u64 = lo.parse().map_err(|_| bad("--query needs LO..HI"))?;
-                        let hi: u64 = hi.parse().map_err(|_| bad("--query needs LO..HI"))?;
-                        if hi < lo {
-                            return Err(bad("--query range must have LO ≤ HI"));
-                        }
-                        query = (lo, hi);
-                    }
-                    "--json" => json = true,
-                    "--resolve" => resolve = true,
-                    other => return Err(bad(format!("unknown flag `{other}` for exec"))),
-                }
+            a.exclusive("--json", "--resolve")?;
+            Command::Exec {
+                sources: a.get("--sources", 40)?,
+                seed: a.get("--seed", 2007)?,
+                domain: a.domain()?,
+                max: a.get("--max", 8)?,
+                theta: a.get("--theta", 0.75)?,
+                beta: a.get("--beta", 2)?,
+                solver: a.solver()?,
+                faults: a.text("--faults"),
+                fault_seed: a.get("--fault-seed", 1)?,
+                query: a.query()?,
+                json: a.has("--json"),
+                resolve: a.has("--resolve"),
             }
-            if json && resolve {
-                return Err(bad("--json and --resolve are mutually exclusive"));
-            }
-            Ok(Command::Exec {
-                sources,
-                seed,
-                domain,
-                max,
-                theta,
-                beta,
-                solver,
-                faults,
-                fault_seed,
-                query,
-                json,
-                resolve,
-            })
         }
-        "lint-src" => {
-            let mut root: Option<String> = None;
-            let mut deny = false;
-            let mut json = false;
-            let mut allowlist: Option<String> = None;
-            while let Some(flag) = iter.next() {
-                match flag {
-                    "--deny" => deny = true,
-                    "--json" => json = true,
-                    "--allowlist" => allowlist = Some(take_value(flag, &mut iter)?.to_string()),
-                    other if !other.starts_with("--") && root.is_none() => {
-                        root = Some(other.to_string());
-                    }
-                    other => return Err(bad(format!("unknown flag `{other}` for lint-src"))),
-                }
-            }
-            Ok(Command::LintSrc {
-                root: root.unwrap_or_else(|| ".".to_string()),
-                deny,
-                json,
-                allowlist,
-            })
-        }
+        "lint-src" => Command::LintSrc {
+            root: a.positional.unwrap_or(".").to_string(),
+            deny: a.has("--deny"),
+            json: a.has("--json"),
+            allowlist: a.text("--allowlist"),
+        },
         "serve" => {
-            let mut addr = "127.0.0.1:7207".to_string();
-            let mut threads = 4usize;
-            let mut data_dir: Option<String> = None;
-            let mut fsync = mube_serve::FsyncPolicy::default();
-            let mut follow: Option<String> = None;
-            let mut repl_addr: Option<String> = None;
-            let mut repl_sync = false;
-            let mut promote_timeout: Option<std::time::Duration> = None;
-            let mut scrub_interval: Option<std::time::Duration> = None;
-            let mut quarantine_keep: Option<u64> = None;
-            while let Some(flag) = iter.next() {
-                match flag {
-                    "--addr" => addr = take_value(flag, &mut iter)?.to_string(),
-                    "--threads" => {
-                        threads = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--threads needs an integer"))?;
-                        if threads == 0 {
-                            return Err(bad("--threads must be at least 1"));
-                        }
-                    }
-                    "--data-dir" => data_dir = Some(take_value(flag, &mut iter)?.to_string()),
-                    "--fsync" => {
-                        fsync = mube_serve::FsyncPolicy::parse(take_value(flag, &mut iter)?)
-                            .map_err(bad)?;
-                    }
-                    "--follow" => follow = Some(take_value(flag, &mut iter)?.to_string()),
-                    "--repl-addr" => repl_addr = Some(take_value(flag, &mut iter)?.to_string()),
-                    "--repl-sync" => repl_sync = true,
-                    "--promote-timeout" => {
-                        let ms: u64 = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--promote-timeout needs milliseconds"))?;
-                        if ms == 0 {
-                            return Err(bad("--promote-timeout must be at least 1 ms"));
-                        }
-                        promote_timeout = Some(std::time::Duration::from_millis(ms));
-                    }
-                    "--scrub-interval" => {
-                        let ms: u64 = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--scrub-interval needs milliseconds"))?;
-                        scrub_interval = Some(std::time::Duration::from_millis(ms));
-                    }
-                    "--quarantine-keep" => {
-                        quarantine_keep = Some(
-                            take_value(flag, &mut iter)?
-                                .parse()
-                                .map_err(|_| bad("--quarantine-keep needs an integer"))?,
-                        );
-                    }
-                    other => return Err(bad(format!("unknown flag `{other}` for serve"))),
-                }
+            let journal = [
+                "--follow",
+                "--repl-addr",
+                "--scrub-interval",
+                "--quarantine-keep",
+            ];
+            let journal_flag = journal.into_iter().find(|flag| a.has(flag));
+            if let (Some(flag), false) = (journal_flag, a.has("--data-dir")) {
+                return Err(bad(format!("{flag} requires --data-dir")));
             }
-            if (follow.is_some() || repl_addr.is_some()) && data_dir.is_none() {
-                return Err(bad("--follow / --repl-addr require --data-dir"));
+            if a.has("--promote-timeout") && !a.has("--follow") {
+                return Err(bad("--promote-timeout requires --follow"));
             }
-            if promote_timeout.is_some() && follow.is_none() {
-                return Err(bad("--promote-timeout only makes sense with --follow"));
+            Command::Serve {
+                addr: a.text("--addr").unwrap_or_else(|| "127.0.0.1:7207".into()),
+                threads: a.get("--threads", 4)?,
+                data_dir: a.text("--data-dir"),
+                fsync: a
+                    .last("--fsync")
+                    .map_or(Ok(FsyncPolicy::default()), FsyncPolicy::parse)
+                    .map_err(bad)?,
+                follow: a.text("--follow"),
+                repl_addr: a.text("--repl-addr"),
+                repl_sync: a.has("--repl-sync"),
+                promote_timeout: a.opt("--promote-timeout")?.map(Duration::from_millis),
+                scrub_interval: a.opt("--scrub-interval")?.map(Duration::from_millis),
+                quarantine_keep: a.opt("--quarantine-keep")?,
             }
-            if (scrub_interval.is_some() || quarantine_keep.is_some()) && data_dir.is_none() {
-                return Err(bad(
-                    "--scrub-interval / --quarantine-keep require --data-dir",
-                ));
-            }
-            Ok(Command::Serve {
-                addr,
-                threads,
-                data_dir,
-                fsync,
-                follow,
-                repl_addr,
-                repl_sync,
-                promote_timeout,
-                scrub_interval,
-                quarantine_keep,
-            })
         }
-        "promote" => {
-            let mut addr: Option<String> = None;
-            while let Some(flag) = iter.next() {
-                match flag {
-                    "--addr" => addr = Some(take_value(flag, &mut iter)?.to_string()),
-                    other if !other.starts_with('-') && addr.is_none() => {
-                        addr = Some(other.to_string());
-                    }
-                    other => return Err(bad(format!("unknown flag `{other}` for promote"))),
-                }
+        name @ ("promote" | "resync") => {
+            let addr = a
+                .positional
+                .or(a.last("--addr"))
+                .ok_or_else(|| bad(format!("{name} needs the follower's address")))?
+                .to_string();
+            if name == "promote" {
+                Command::Promote { addr }
+            } else {
+                Command::Resync { addr }
             }
-            let addr = addr.ok_or_else(|| bad("promote needs the follower's address"))?;
-            Ok(Command::Promote { addr })
         }
-        "resync" => {
-            let mut addr: Option<String> = None;
-            while let Some(flag) = iter.next() {
-                match flag {
-                    "--addr" => addr = Some(take_value(flag, &mut iter)?.to_string()),
-                    other if !other.starts_with('-') && addr.is_none() => {
-                        addr = Some(other.to_string());
-                    }
-                    other => return Err(bad(format!("unknown flag `{other}` for resync"))),
-                }
-            }
-            let addr = addr.ok_or_else(|| bad("resync needs the follower's address"))?;
-            Ok(Command::Resync { addr })
+        "fsck" => Command::Fsck {
+            dir: a.slot(),
+            repair: a.has("--repair"),
+            json: a.has("--json"),
+        },
+        "help" => Command::Help,
+        other => unreachable!("table row `{other}` has no builder"),
+    })
+}
+
+/// Lines of the help text stop before this column.
+const WIDTH: usize = 78;
+
+/// Appends `head` and then `words`, each after one space, starting a new
+/// line indented to the width of `head` where a word would pass [`WIDTH`].
+fn wrap<W: AsRef<str>>(out: &mut String, head: &str, words: impl IntoIterator<Item = W>) {
+    let indent = head.chars().count();
+    let mut column = indent;
+    out.push_str(head);
+    for word in words {
+        let word = word.as_ref();
+        let width = 1 + word.chars().count();
+        if column > indent && column + width > WIDTH {
+            out.push('\n');
+            out.extend(std::iter::repeat_n(' ', indent));
+            column = indent;
         }
-        "fsck" => {
-            let mut dir: Option<String> = None;
-            let mut repair = false;
-            let mut json = false;
-            for flag in iter.by_ref() {
-                match flag {
-                    "--repair" => repair = true,
-                    "--json" => json = true,
-                    other if !other.starts_with('-') && dir.is_none() => {
-                        dir = Some(other.to_string());
-                    }
-                    other => return Err(bad(format!("unknown flag `{other}` for fsck"))),
-                }
-            }
-            let dir = dir.ok_or_else(|| bad("fsck needs a data directory"))?;
-            Ok(Command::Fsck { dir, repair, json })
-        }
-        other => Err(bad(format!("unknown command `{other}`"))),
+        out.push(' ');
+        out.push_str(word);
+        column += width;
     }
+    out.push('\n');
+}
+
+/// The help text (what `mube help` prints), rendered from `COMMANDS`.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "mube — user-guided source selection and schema mediation (µBE, ICDE 2007)\n\nUSAGE:\n",
+    );
+    for spec in COMMANDS {
+        let slot = match spec.slot {
+            Slot::None => None,
+            Slot::Required(what) => Some(what.to_string()),
+            Slot::Optional(what) => Some(format!("[{what}]")),
+        };
+        let words = slot.into_iter().chain(spec.flags().map(Flag::synopsis));
+        wrap(&mut out, &format!("    mube {}", spec.name), words);
+    }
+    out.push_str("\nCOMMANDS:\n");
+    for spec in COMMANDS {
+        let head = format!("    {:<12}", spec.name);
+        wrap(&mut out, &head, spec.about.split_whitespace());
+    }
+    out.pop();
+    out
 }
 
 #[cfg(test)]
@@ -1583,5 +1639,136 @@ mod tests {
         }
         assert!(p(&["solve", "cat.catalog", "--time-budget", "soon"]).is_err());
         assert!(p(&["solve", "cat.catalog", "--time-budget"]).is_err());
+    }
+
+    #[test]
+    fn zero_sizes_are_usage_errors() {
+        for argv in [
+            &["gen", "--sources", "0", "--out", "x.cat"][..],
+            &["exec", "--sources", "0"],
+            &["scale-solve", "--max", "0"],
+            &["exec", "--max", "0"],
+            &["solve", "a.cat", "--max", "0"],
+        ] {
+            let flag = argv.iter().find(|a| a.starts_with("--")).expect("a flag");
+            assert_eq!(
+                p(argv),
+                Err(CliError::Usage(format!("{flag} must be at least 1"))),
+                "{argv:?}"
+            );
+        }
+        // `lint --max 0` stays legal: it is how MUBE010 is reported.
+        assert!(matches!(
+            p(&["lint", "a.cat", "--max", "0"]),
+            Ok(Command::Lint { max: Some(0), .. })
+        ));
+    }
+
+    #[test]
+    fn positional_may_come_after_flags() {
+        assert_eq!(
+            p(&["match", "--theta", "0.5", "a.cat"]).unwrap(),
+            Command::Match {
+                file: "a.cat".into(),
+                theta: 0.5,
+                sources: vec![]
+            }
+        );
+        match p(&["solve", "--max", "3", "--json", "a.cat", "--seed", "4"]).unwrap() {
+            Command::Solve {
+                file,
+                max,
+                seed,
+                json,
+                ..
+            } => assert_eq!((file.as_str(), max, seed, json), ("a.cat", 3, 4, true)),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(
+            p(&["lint", "--deny-warnings", "a.cat"]).unwrap(),
+            Command::Lint { file, deny_warnings: true, .. } if file == "a.cat"
+        ));
+        assert!(matches!(
+            p(&["lint-src", "--deny", "/repo"]).unwrap(),
+            Command::LintSrc { root, deny: true, .. } if root == "/repo"
+        ));
+        // A flag value is never the positional, even when it looks like one.
+        assert!(matches!(
+            p(&["match", "a.cat", "--theta", "-1"]).unwrap(),
+            Command::Match { theta, .. } if theta == -1.0
+        ));
+        // Anything else starting with `-` is a flag, and one slot is all
+        // there is.
+        assert!(matches!(p(&["lint-src", "-x"]), Err(CliError::Usage(_))));
+        assert!(matches!(p(&["match", "a", "b"]), Err(CliError::Usage(_))));
+        assert!(matches!(
+            p(&["promote", "--addr", "h:1", "h:2", "h:3"]),
+            Err(CliError::Usage(_))
+        ));
+    }
+
+    /// The help text of one row: its usage line(s) in the USAGE section.
+    fn usage_entry(help: &str, name: &str) -> String {
+        let start = help
+            .find(&format!("    mube {name}\n"))
+            .or_else(|| help.find(&format!("    mube {name} ")))
+            .unwrap_or_else(|| panic!("help does not list `mube {name}`"));
+        let rest = &help[start + 4..];
+        let end = rest
+            .find("\n    mube ")
+            .or_else(|| rest.find("\n\n"))
+            .unwrap_or(rest.len());
+        rest[..end].to_string()
+    }
+
+    #[test]
+    fn table_help_and_scanner_agree() {
+        let help = usage();
+        for spec in COMMANDS {
+            let entry = usage_entry(&help, spec.name);
+            assert!(
+                help.contains(&format!("\n    {:<12} ", spec.name)),
+                "{help}"
+            );
+            // The smallest valid command line builds, and with it every
+            // getter runs: one reading an undeclared flag panics.
+            let mut argv = vec![spec.name];
+            if !matches!(spec.slot, Slot::None) {
+                argv.push("x");
+            }
+            for flag in spec.flags().filter(|f| f.arity == Arity::Required) {
+                argv.extend([flag.name, "x"]);
+            }
+            if let Err(e) = p(&argv) {
+                panic!("{argv:?}: {e}");
+            }
+            for flag in spec.flags() {
+                assert!(entry.contains(&flag.synopsis()), "{entry}");
+                if flag.arity != Arity::Switch {
+                    assert!(
+                        matches!(p(&[spec.name, flag.name]), Err(CliError::Usage(_))),
+                        "{} {} without a value",
+                        spec.name,
+                        flag.name
+                    );
+                }
+            }
+            assert!(
+                matches!(p(&[spec.name, "--bogus"]), Err(CliError::Usage(_))),
+                "{} --bogus",
+                spec.name
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not declare")]
+    fn reading_an_undeclared_flag_panics() {
+        let spec = COMMANDS
+            .iter()
+            .find(|s| s.name == "fsck")
+            .expect("fsck row");
+        let args = scan(spec, &["/tmp/d"]).expect("scans");
+        args.has("--max");
     }
 }

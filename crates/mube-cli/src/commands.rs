@@ -13,13 +13,13 @@ use mube_core::matchop::{MatchOperator, MatchOutcome};
 use mube_core::problem::Problem;
 use mube_core::qefs::{data_only_qefs, paper_default_qefs};
 use mube_core::source::Universe;
-use mube_core::{explain, MubeError, SourceId};
+use mube_core::{explain, MubeError, SourceId, WeightedQefs};
 use mube_match::similarity::JaccardNGram;
 use mube_match::ClusterMatcher;
 use mube_opt::{
     ParticleSwarm, Portfolio, SimulatedAnnealing, StochasticLocalSearch, SubsetSolver, TabuSearch,
 };
-use mube_synth::{generate, SynthConfig};
+use mube_synth::{generate, DomainKind, SynthConfig};
 
 use crate::args::Command;
 
@@ -77,7 +77,7 @@ impl From<MubeError> for CliError {
 /// Executes a parsed command and returns its output text.
 pub fn run(command: Command) -> Result<String, CliError> {
     match command {
-        Command::Help => Ok(crate::USAGE.to_string()),
+        Command::Help => Ok(crate::usage()),
         Command::Gen {
             sources,
             seed,
@@ -139,9 +139,14 @@ pub fn run(command: Command) -> Result<String, CliError> {
             sources,
         } => {
             let universe = Arc::new(load(&file)?);
-            let selected = resolve_sources(&universe, &sources)?;
+            let selected = if sources.is_empty() {
+                universe.source_ids().collect()
+            } else {
+                resolve_sources(&universe, &sources)?
+            };
             let matcher = ClusterMatcher::new(Arc::clone(&universe), JaccardNGram::trigram());
             let constraints = Constraints::with_max_sources(universe.len()).theta(theta);
+            constraints.validate(&universe)?;
             match matcher.match_sources(&universe, &selected, &constraints) {
                 MatchOutcome::Matched { schema, quality } => Ok(format!(
                     "matching quality F1 = {quality:.4}, {} GAs over {} sources:\n{}",
@@ -172,25 +177,8 @@ pub fn run(command: Command) -> Result<String, CliError> {
         } => {
             let universe = Arc::new(load(&file)?);
             let mut constraints = Constraints::with_max_sources(max).theta(theta).beta(beta);
-            for pin in &pins {
-                let id = universe
-                    .source_by_name(pin)
-                    .map(mube_core::Source::id)
-                    .ok_or_else(|| MubeError::UnknownAttribute {
-                        detail: format!("source `{pin}`"),
-                    })?;
-                constraints.required_sources.insert(id);
-            }
-            // Use the characteristic-aware mix when sources carry an MTTF,
-            // else the data-only mix.
-            let has_mttf = universe
-                .sources()
-                .any(|s| s.characteristic("mttf").is_some());
-            let mut qefs = if has_mttf {
-                paper_default_qefs("mttf")
-            } else {
-                data_only_qefs()
-            };
+            constraints.required_sources = resolve_sources(&universe, &pins)?;
+            let mut qefs = default_qefs(&universe);
             for (name, weight) in &weights {
                 qefs = qefs.reweighted(name, *weight)?;
             }
@@ -199,17 +187,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 JaccardNGram::trigram(),
             ));
             let problem = Problem::new(Arc::clone(&universe), matcher, qefs, constraints)?;
-            let solver: Box<dyn SubsetSolver> = match portfolio {
-                Some(spec) => {
-                    // The spec was validated at parse time, but re-check so
-                    // programmatic callers get a clean error, not a panic.
-                    let pf = Portfolio::from_spec(&spec, restarts)
-                        .map_err(CliError::Usage)?
-                        .threads(threads);
-                    Box::new(pf)
-                }
-                None => make_solver(&solver),
-            };
+            let solver = build_solver(&solver, portfolio.as_deref(), restarts, threads)?;
             let solution = match time_budget_ms {
                 Some(ms) => {
                     let cancel = mube_opt::CancelToken::after(std::time::Duration::from_millis(ms));
@@ -237,7 +215,33 @@ pub fn run(command: Command) -> Result<String, CliError> {
             }
             Ok(out)
         }
-        exec @ Command::Exec { .. } => exec_command(exec),
+        Command::Exec {
+            sources,
+            seed,
+            domain,
+            max,
+            theta,
+            beta,
+            solver,
+            faults,
+            fault_seed,
+            query,
+            json,
+            resolve,
+        } => exec_command(
+            sources,
+            seed,
+            domain,
+            max,
+            theta,
+            beta,
+            &solver,
+            faults.as_deref(),
+            fault_seed,
+            query,
+            json,
+            resolve,
+        ),
         Command::Serve {
             addr,
             threads,
@@ -315,14 +319,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
             // portfolio's --threads safely accelerates the sketches too.
             opts.lsh_threads = threads;
 
-            let solver: Box<dyn SubsetSolver> = match portfolio {
-                Some(spec) => Box::new(
-                    Portfolio::from_spec(&spec, restarts)
-                        .map_err(CliError::Usage)?
-                        .threads(threads),
-                ),
-                None => make_solver(&solver),
-            };
+            let solver = build_solver(&solver, portfolio.as_deref(), restarts, threads)?;
             let cancel = match budget_ms {
                 Some(ms) => mube_opt::CancelToken::after(std::time::Duration::from_millis(ms)),
                 None => mube_opt::CancelToken::none(),
@@ -412,14 +409,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                     )),
                 }
             }
-            let has_mttf = universe
-                .sources()
-                .any(|s| s.characteristic("mttf").is_some());
-            let qefs = if has_mttf {
-                paper_default_qefs("mttf")
-            } else {
-                data_only_qefs()
-            };
+            let qefs = default_qefs(&universe);
             for (name, _) in &weights {
                 if !qefs.iter().any(|(q, _)| q.name() == name) {
                     unresolved.push(Diagnostic::new(
@@ -592,28 +582,24 @@ fn fsck_command(dir: &str, repair: bool, json: bool) -> Result<String, CliError>
 /// selection (optionally through a fault injector), report the
 /// degradation, and — with `--resolve` — close the feedback loop by
 /// re-probing and re-solving around the failing sources.
-fn exec_command(command: Command) -> Result<String, CliError> {
+#[allow(clippy::too_many_arguments)] // one per `Command::Exec` field
+fn exec_command(
+    sources: usize,
+    seed: u64,
+    domain: DomainKind,
+    max: usize,
+    theta: f64,
+    beta: usize,
+    solver: &str,
+    faults: Option<&str>,
+    fault_seed: u64,
+    query: (u64, u64),
+    json: bool,
+    resolve: bool,
+) -> Result<String, CliError> {
     use mube_exec::{
         fault, probe_characteristics, BreakerConfig, Clock, Executor, HealthRegistry, Query,
         RetryPolicy, VirtualClock, WindowBackend,
-    };
-
-    let Command::Exec {
-        sources,
-        seed,
-        domain,
-        max,
-        theta,
-        beta,
-        solver,
-        faults,
-        fault_seed,
-        query,
-        json,
-        resolve,
-    } = command
-    else {
-        unreachable!("exec_command is only called with Command::Exec");
     };
 
     let mut config = SynthConfig::small(sources);
@@ -629,11 +615,11 @@ fn exec_command(command: Command) -> Result<String, CliError> {
             JaccardNGram::trigram(),
         ));
         let problem = Problem::new(Arc::clone(universe), matcher, qefs, constraints)?;
-        Ok(problem.solve(make_solver(&solver).as_ref(), seed)?)
+        Ok(problem.solve(build_solver(solver, None, 1, 1)?.as_ref(), seed)?)
     };
     let solution = solve(&universe, "mttf")?;
 
-    let backend: Box<dyn mube_exec::DataSourceBackend> = match &faults {
+    let backend: Box<dyn mube_exec::DataSourceBackend> = match faults {
         None => Box::new(WindowBackend::new(&synth)),
         Some(spec) => Box::new(fault::injector_from_spec(
             WindowBackend::new(&synth),
@@ -790,10 +776,8 @@ fn load(file: &str) -> Result<Universe, CliError> {
     Ok(catalog::from_text(&text)?)
 }
 
+/// Maps source names to ids; an unknown name is an engine error.
 fn resolve_sources(universe: &Universe, names: &[String]) -> Result<BTreeSet<SourceId>, CliError> {
-    if names.is_empty() {
-        return Ok(universe.source_ids().collect());
-    }
     names
         .iter()
         .map(|name| {
@@ -809,12 +793,39 @@ fn resolve_sources(universe: &Universe, names: &[String]) -> Result<BTreeSet<Sou
         .collect()
 }
 
-fn make_solver(name: &str) -> Box<dyn SubsetSolver> {
-    match name {
-        "sls" => Box::new(StochasticLocalSearch::default()),
-        "annealing" => Box::new(SimulatedAnnealing::default()),
-        "pso" => Box::new(ParticleSwarm::default()),
-        _ => Box::new(TabuSearch::default()),
+/// The portfolio when `portfolio` is given (`--threads`/`--restarts` imply
+/// one), else the single named solver.
+fn build_solver(
+    solver: &str,
+    portfolio: Option<&str>,
+    restarts: usize,
+    threads: usize,
+) -> Result<Box<dyn SubsetSolver>, CliError> {
+    Ok(match (portfolio, solver) {
+        // The spec was validated at parse time, but re-check so
+        // programmatic callers get a clean error, not a panic.
+        (Some(spec), _) => Box::new(
+            Portfolio::from_spec(spec, restarts)
+                .map_err(CliError::Usage)?
+                .threads(threads),
+        ),
+        (None, "sls") => Box::new(StochasticLocalSearch::default()),
+        (None, "annealing") => Box::new(SimulatedAnnealing::default()),
+        (None, "pso") => Box::new(ParticleSwarm::default()),
+        (None, _) => Box::new(TabuSearch::default()),
+    })
+}
+
+/// The characteristic-aware QEF mix when sources carry an MTTF, else the
+/// data-only mix.
+fn default_qefs(universe: &Universe) -> WeightedQefs {
+    if universe
+        .sources()
+        .any(|s| s.characteristic("mttf").is_some())
+    {
+        paper_default_qefs("mttf")
+    } else {
+        data_only_qefs()
     }
 }
 
@@ -873,6 +884,18 @@ mod tests {
         let report = run(parse(&["match", &path, "--theta", "0.75"]).unwrap()).unwrap();
         assert!(report.contains("matching quality F1"));
         assert!(report.contains("GA0"));
+    }
+
+    #[test]
+    fn match_rejects_theta_outside_unit_interval() {
+        let path = gen_catalog("match-theta.cat", 6);
+        for theta in ["NaN", "5", "inf", "-1"] {
+            let err = run(parse(&["match", &path, "--theta", theta]).unwrap()).unwrap_err();
+            assert!(
+                matches!(err, CliError::Engine(MubeError::InvalidParameter { .. })),
+                "theta {theta}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,97 +13,13 @@
 //!
 //! The library half holds the argument parsing and command implementations
 //! (all returning `Result<String, CliError>` so they are unit-testable);
-//! `main.rs` only dispatches.
+//! `main.rs` only dispatches. One table in [`args`] declares every
+//! subcommand's positional slot, flags and description: the parser scans
+//! argv against it and [`usage`] (what `mube help` prints) is rendered from
+//! it.
 
 pub mod args;
 pub mod commands;
 
-pub use args::{parse, Command};
+pub use args::{parse, usage, Command};
 pub use commands::{run, CliError};
-
-/// Top-level usage text.
-pub const USAGE: &str = "\
-mube — user-guided source selection and schema mediation (µBE, ICDE 2007)
-
-USAGE:
-    mube gen      --sources N [--seed S] [--domain D] [--paper-scale] --out FILE
-    mube validate FILE
-    mube match    FILE [--theta T] [--sources a,b,c]
-    mube solve    FILE [--max M] [--theta T] [--beta B] [--seed S]
-                       [--solver tabu|sls|annealing|pso]
-                       [--threads N] [--portfolio tabu,sls,anneal[,pso]]
-                       [--restarts R] [--time-budget MS]
-                       [--pin NAME]... [--weight QEF=W]...
-                       [--explain | --json]
-    mube scale-solve   [--sources N] [--budget MS] [--domain D]
-                       [--max M] [--theta T] [--beta B] [--top-k K]
-                       [--seed S] [--keyword W]... [--pin NAME]...
-                       [--solver tabu|sls|annealing|pso] [--threads N]
-                       [--portfolio SPEC] [--restarts R] [--json]
-    mube lint     FILE [--max M] [--theta T] [--beta B]
-                       [--pin NAME]... [--weight QEF=W]...
-                       [--scale-threshold N] [--deny-warnings] [--json]
-    mube lint-src [ROOT] [--deny] [--json] [--allowlist FILE]
-    mube exec     [--sources N] [--seed S] [--domain D] [--max M]
-                       [--theta T] [--beta B] [--solver NAME]
-                       [--faults SPEC] [--fault-seed S] [--query LO..HI]
-                       [--json | --resolve]
-    mube serve    [--addr HOST:PORT] [--threads N]
-                       [--data-dir DIR] [--fsync always|interval[:MS]|never]
-                       [--repl-addr HOST:PORT] [--follow HOST:PORT]
-                       [--repl-sync] [--promote-timeout MS]
-                       [--scrub-interval MS] [--quarantine-keep K]
-    mube promote  HOST:PORT
-    mube resync   HOST:PORT
-    mube fsck     DIR [--repair] [--json]
-    mube help
-
-COMMANDS:
-    gen        Generate a synthetic catalog (domains: books, airfares,
-               movies, music; default books at test scale, --paper-scale
-               for the paper's cardinalities)
-    validate   Parse a catalog and print per-source statistics
-    match      Run schema matching over sources (no selection)
-    solve      Select at most --max sources and mediate a schema;
-               --time-budget MS stops at the deadline and reports the
-               best solution found so far (anytime)
-    scale-solve  Stream a 100k+-source synthetic universe and solve it
-               hierarchically: relevance pruning keeps --top-k
-               survivors, MinHash/LSH blocking condenses them into
-               clusters, a coarse solve picks cluster families, and a
-               fine solve over the expanded winners emits a validated
-               solution; --budget MS bounds the whole pipeline
-    lint       Statically audit a catalog + constraints before solving;
-               exits 2 when MUBE0xx errors (or, with --deny-warnings,
-               any finding) are reported; --scale-threshold N warns
-               (MUBE017) on catalogs too large for a flat solve
-    lint-src   Scan the workspace's own Rust sources under ROOT/crates
-               (default `.`) for project invariants — wall-clock in
-               solver code, bare unwrap, unjustified Relaxed orderings
-               (MUBE1xx codes); exits 2 on errors (or, with --deny, any
-               finding); `ROOT/lint-src.allow` grants path-level waivers
-    exec       Generate, solve, then execute a query over the selected
-               sources — optionally injecting faults (--faults rate=0.3,
-               auto[:SCALE], or unavailable=..,timeout=..,partial=..,
-               slow=..); prints the degradation report, and with
-               --resolve re-probes and re-solves around failing sources
-    serve      Run the HTTP/JSON session server (default 127.0.0.1:7207;
-               see PROTOCOL.md for endpoints); --data-dir journals
-               sessions durably and replays them on restart;
-               --repl-addr ships the journal to followers, --follow
-               runs a read-only replica of a leader (--repl-sync gates
-               mutating responses on follower acks, --promote-timeout
-               auto-promotes after MS without leader contact);
-               --scrub-interval MS re-verifies the journal on disk
-               against served state in the background (0 disables),
-               --quarantine-keep K caps retained quarantine files
-    promote    Ask a follower to become the leader (checked: refuses
-               when its state diverged from the leader's)
-    resync     Ask a follower (diverged or not) to archive its journal
-               and take a fresh full copy from its leader
-    fsck       Check a --data-dir journal offline: CRCs, LSN order,
-               snapshot/tail overlap, replay digest; --repair truncates
-               torn tails, salvages readable records past corruption,
-               and rebuilds a clean snapshot (evidence is quarantined);
-               exits 2 when the directory is not clean
-    help       Show this message";

@@ -18,7 +18,7 @@ fn main() -> ExitCode {
         Err(error) => {
             eprintln!("mube: {error}");
             if matches!(error, mube_cli::CliError::Usage(_)) {
-                eprintln!("\n{}", mube_cli::USAGE);
+                eprintln!("\n{}", mube_cli::usage());
             }
             ExitCode::FAILURE
         }
