@@ -7,13 +7,14 @@
 //! perturbed weights and diff the solutions.
 //!
 //! The re-solves *warm-start* from the baseline solution
-//! ([`mube_opt::InitStrategy::Provided`]), matching `µBE`'s iterative
+//! ([`mube_opt::Start::Warm`]), matching `µBE`'s iterative
 //! interaction model in which each run continues from the current solution.
 //! This isolates the effect of the weight change from search randomness: a
 //! cold restart of any stochastic search would differ from the baseline for
 //! reasons unrelated to the weights.
 
 use mube_core::qefs::paper_default_qefs;
+use mube_opt::{CancelToken, Start};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,18 +45,14 @@ pub fn sweep(scale: Scale) -> Vec<Trial> {
     };
     let constraints = Variant::Unconstrained.constraints(&setup, m, EXPERIMENT_SEED);
     let mut problem = setup.problem(constraints).expect("constraints are valid");
-    let baseline = timed_solve(&problem, &scale.tabu(), EXPERIMENT_SEED)
+    let tabu = scale.tabu();
+    let baseline = timed_solve(&problem, &tabu, EXPERIMENT_SEED)
         .expect("paper workloads are feasible")
         .solution;
 
     let base_weights: Vec<f64> = baseline.qef_scores.iter().map(|&(_, w, _)| w).collect();
     // Warm-start the perturbed solves from the baseline solution.
-    let warm = mube_opt::TabuSearch {
-        init: mube_opt::InitStrategy::Provided(
-            baseline.sources.iter().map(|s| s.index()).collect(),
-        ),
-        ..scale.tabu()
-    };
+    let warm: Vec<usize> = baseline.sources.iter().map(|s| s.index()).collect();
     let mut rng = StdRng::seed_from_u64(EXPERIMENT_SEED ^ 0xF00D);
     let mut out = Vec::new();
     for index in 0..trials {
@@ -72,9 +69,14 @@ pub fn sweep(scale: Scale) -> Vec<Trial> {
             .with_weights(&weights)
             .expect("perturbed weights are valid");
         problem.set_qefs(qefs);
-        let solved = timed_solve(&problem, &warm, EXPERIMENT_SEED)
-            .expect("paper workloads are feasible")
-            .solution;
+        let solved = problem
+            .solve_with(
+                &tabu,
+                EXPERIMENT_SEED,
+                Start::Warm(&warm),
+                &CancelToken::none(),
+            )
+            .expect("paper workloads are feasible");
         let diff = baseline.diff(&solved);
         out.push(Trial {
             index,

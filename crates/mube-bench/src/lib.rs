@@ -199,7 +199,6 @@ pub fn tabu_for_universe(universe_size: usize) -> TabuSearch {
         init: mube_opt::InitStrategy::Greedy {
             sample: 8 + universe_size / 16,
         },
-        trust_region: None,
     }
 }
 

@@ -657,11 +657,10 @@ impl<'a> Args<'a> {
     }
 
     fn solver(&self) -> Result<String, CliError> {
-        let solver = self.last("--solver").unwrap_or("tabu");
-        if !["tabu", "sls", "annealing", "pso"].contains(&solver) {
-            return Err(bad(format!("unknown solver `{solver}`")));
-        }
-        Ok(solver.to_string())
+        let name = self.last("--solver").unwrap_or("tabu");
+        let solver = mube_opt::solver_by_name(name, mube_opt::DEFAULT_MAX_EVALUATIONS)
+            .ok_or_else(|| bad(format!("unknown solver `{name}`")))?;
+        Ok(solver.name().to_string())
     }
 
     /// The [`SOLVERS`] group: `(solver, threads, portfolio, restarts)`.

@@ -16,9 +16,7 @@ use mube_core::source::Universe;
 use mube_core::{explain, MubeError, SourceId, WeightedQefs};
 use mube_match::similarity::JaccardNGram;
 use mube_match::ClusterMatcher;
-use mube_opt::{
-    ParticleSwarm, Portfolio, SimulatedAnnealing, StochasticLocalSearch, SubsetSolver, TabuSearch,
-};
+use mube_opt::{CancelToken, Portfolio, Start, SubsetSolver};
 use mube_synth::{generate, DomainKind, SynthConfig};
 
 use crate::args::Command;
@@ -188,13 +186,11 @@ pub fn run(command: Command) -> Result<String, CliError> {
             ));
             let problem = Problem::new(Arc::clone(&universe), matcher, qefs, constraints)?;
             let solver = build_solver(&solver, portfolio.as_deref(), restarts, threads)?;
-            let solution = match time_budget_ms {
-                Some(ms) => {
-                    let cancel = mube_opt::CancelToken::after(std::time::Duration::from_millis(ms));
-                    problem.solve_cancel(solver.as_ref(), seed, &cancel)?
-                }
-                None => problem.solve(solver.as_ref(), seed)?,
+            let cancel = match time_budget_ms {
+                Some(ms) => CancelToken::after(std::time::Duration::from_millis(ms)),
+                None => CancelToken::none(),
             };
+            let solution = problem.solve_with(solver.as_ref(), seed, Start::Cold, &cancel)?;
             if json {
                 return Ok(solution.to_json(&universe));
             }
@@ -321,8 +317,8 @@ pub fn run(command: Command) -> Result<String, CliError> {
 
             let solver = build_solver(&solver, portfolio.as_deref(), restarts, threads)?;
             let cancel = match budget_ms {
-                Some(ms) => mube_opt::CancelToken::after(std::time::Duration::from_millis(ms)),
-                None => mube_opt::CancelToken::none(),
+                Some(ms) => CancelToken::after(std::time::Duration::from_millis(ms)),
+                None => CancelToken::none(),
             };
             let report = scale_solve(&stream, &opts, solver.as_ref(), &cancel)?;
 
@@ -785,9 +781,7 @@ fn resolve_sources(universe: &Universe, names: &[String]) -> Result<BTreeSet<Sou
                 .source_by_name(name)
                 .map(mube_core::Source::id)
                 .ok_or_else(|| {
-                    CliError::Engine(MubeError::UnknownAttribute {
-                        detail: format!("source `{name}`"),
-                    })
+                    CliError::Engine(MubeError::UnknownSourceName { name: name.clone() })
                 })
         })
         .collect()
@@ -801,19 +795,17 @@ fn build_solver(
     restarts: usize,
     threads: usize,
 ) -> Result<Box<dyn SubsetSolver>, CliError> {
-    Ok(match (portfolio, solver) {
-        // The spec was validated at parse time, but re-check so
-        // programmatic callers get a clean error, not a panic.
-        (Some(spec), _) => Box::new(
+    // Names were validated at parse time, but re-check so programmatic
+    // callers get a clean error, not a panic.
+    match portfolio {
+        Some(spec) => Ok(Box::new(
             Portfolio::from_spec(spec, restarts)
                 .map_err(CliError::Usage)?
                 .threads(threads),
-        ),
-        (None, "sls") => Box::new(StochasticLocalSearch::default()),
-        (None, "annealing") => Box::new(SimulatedAnnealing::default()),
-        (None, "pso") => Box::new(ParticleSwarm::default()),
-        (None, _) => Box::new(TabuSearch::default()),
-    })
+        )),
+        None => mube_opt::solver_by_name(solver, mube_opt::DEFAULT_MAX_EVALUATIONS)
+            .ok_or_else(|| CliError::Usage(format!("unknown solver `{solver}`"))),
+    }
 }
 
 /// The characteristic-aware QEF mix when sources carry an MTTF, else the
@@ -1186,6 +1178,13 @@ mod tests {
             }
             other => panic!("expected lint failure, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn solve_names_an_unknown_pinned_source() {
+        let path = gen_catalog("solve-ghost.cat", 8);
+        let err = run(parse(&["solve", &path, "--pin", "ghost"]).unwrap()).unwrap_err();
+        assert_eq!(err.to_string(), "unknown source `ghost`");
     }
 
     #[test]

@@ -30,6 +30,11 @@ pub enum MubeError {
         /// The foreign id.
         source: SourceId,
     },
+    /// A source name (a pin, a feedback verb) that is not in the universe.
+    UnknownSourceName {
+        /// The name that failed to resolve.
+        name: String,
+    },
     /// A GA constraint referenced an attribute that does not exist.
     UnknownAttribute {
         /// Description of the missing attribute.
@@ -87,6 +92,7 @@ impl std::fmt::Display for MubeError {
             MubeError::UnknownSource { source } => {
                 write!(f, "source {source} is not in the universe")
             }
+            MubeError::UnknownSourceName { name } => write!(f, "unknown source `{name}`"),
             MubeError::UnknownAttribute { detail } => {
                 write!(f, "unknown attribute: {detail}")
             }

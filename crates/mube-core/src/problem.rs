@@ -15,7 +15,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-use mube_opt::{SolveResult, SubsetObjective, SubsetSolver};
+use mube_opt::{CancelToken, SolveResult, Start, SubsetObjective, SubsetSolver};
 
 use crate::constraints::Constraints;
 use crate::error::MubeError;
@@ -274,62 +274,21 @@ impl Problem {
     /// Solves the problem with the given solver and seed, returning the best
     /// feasible solution.
     pub fn solve(&self, solver: &dyn SubsetSolver, seed: u64) -> Result<Solution, MubeError> {
-        self.finish(solver.solve(self, seed), solver)
+        self.solve_with(solver, seed, Start::Cold, &CancelToken::none())
     }
 
-    /// Like [`Problem::solve`], polling `cancel` between evaluations: when
+    /// Like [`Problem::solve`], from `start` (source indices; see
+    /// [`mube_opt::Start`]) and polling `cancel` between evaluations: when
     /// the token fires (deadline or explicit cancel) the best-so-far
     /// incumbent is returned with [`Solution::timed_out`] set.
-    pub fn solve_cancel(
+    pub fn solve_with(
         &self,
         solver: &dyn SubsetSolver,
         seed: u64,
-        cancel: &mube_opt::CancelToken,
+        start: Start<'_>,
+        cancel: &CancelToken,
     ) -> Result<Solution, MubeError> {
-        self.finish(solver.solve_cancel(self, seed, cancel), solver)
-    }
-
-    /// Solves warm-started from a previous solution's source set (only
-    /// effective for solvers that support warm starts, i.e. tabu search).
-    pub fn solve_from(
-        &self,
-        solver: &dyn SubsetSolver,
-        seed: u64,
-        warm: &BTreeSet<SourceId>,
-    ) -> Result<Solution, MubeError> {
-        let indices: Vec<usize> = warm.iter().map(|s| s.index()).collect();
-        self.finish(solver.solve_from(self, seed, &indices), solver)
-    }
-
-    /// Solves warm-started *within a trust region*: solvers that support it
-    /// (tabu search) return a solution at Hamming distance at most `radius`
-    /// from the repaired warm start — the mechanism behind
-    /// [`crate::session::Session::with_continuity`].
-    pub fn solve_near(
-        &self,
-        solver: &dyn SubsetSolver,
-        seed: u64,
-        warm: &BTreeSet<SourceId>,
-        radius: usize,
-    ) -> Result<Solution, MubeError> {
-        let indices: Vec<usize> = warm.iter().map(|s| s.index()).collect();
-        self.finish(solver.solve_within(self, seed, &indices, radius), solver)
-    }
-
-    /// Cancellable form of [`Problem::solve_near`].
-    pub fn solve_near_cancel(
-        &self,
-        solver: &dyn SubsetSolver,
-        seed: u64,
-        warm: &BTreeSet<SourceId>,
-        radius: usize,
-        cancel: &mube_opt::CancelToken,
-    ) -> Result<Solution, MubeError> {
-        let indices: Vec<usize> = warm.iter().map(|s| s.index()).collect();
-        self.finish(
-            solver.solve_within_cancel(self, seed, &indices, radius, cancel),
-            solver,
-        )
+        self.finish(solver.solve_with(self, seed, start, cancel), solver)
     }
 
     /// Solves with tabu search and returns up to `k` of the best *distinct

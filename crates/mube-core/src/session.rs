@@ -11,7 +11,7 @@
 //! *input* constraint format, so [`Session::adopt_ga`] can turn "GA 3 of the
 //! last solution" directly into a constraint for the next run.
 
-use mube_opt::SubsetSolver;
+use mube_opt::{Start, SubsetSolver};
 
 use crate::constraints::Constraints;
 use crate::error::MubeError;
@@ -30,7 +30,6 @@ pub struct Session {
     seed: u64,
     history: Vec<Solution>,
     continuity: bool,
-    drift_limit: Option<usize>,
 }
 
 impl Session {
@@ -42,7 +41,6 @@ impl Session {
             seed,
             history: Vec::new(),
             continuity: false,
-            drift_limit: None,
         }
     }
 
@@ -51,23 +49,14 @@ impl Session {
     /// constraints) inside a trust region, so small feedback edits produce
     /// small solution diffs — the stability the paper's §7.4 robustness
     /// experiment relies on — at the price of exploring less after each
-    /// edit. The drift bound defaults to a third of `m` (at least 2
-    /// membership changes, i.e. one swap); override it with
-    /// [`Session::with_drift_limit`].
+    /// edit. The drift bound is a third of `m` (at least 2 membership
+    /// changes, i.e. one swap).
     ///
-    /// Only takes effect when the session's solver is
-    /// [`mube_opt::TabuSearch`] (the other solvers have no warm-start
-    /// notion); otherwise `run()` behaves as without continuity.
+    /// Only [`mube_opt::TabuSearch`], alone or as a portfolio member, uses
+    /// the warm start (the other solvers have no warm-start notion); with
+    /// no tabu in play `run()` behaves as without continuity.
     pub fn with_continuity(mut self) -> Self {
         self.continuity = true;
-        self
-    }
-
-    /// Sets the continuity drift bound: the maximum Hamming distance
-    /// (sources added + sources removed) between consecutive solutions when
-    /// [`Session::with_continuity`] is enabled.
-    pub fn with_drift_limit(mut self, limit: usize) -> Self {
-        self.drift_limit = Some(limit);
         self
     }
 
@@ -100,23 +89,19 @@ impl Session {
     /// recorded, and returned with [`Solution::timed_out`] set.
     pub fn run_cancel(&mut self, cancel: &mube_opt::CancelToken) -> Result<&Solution, MubeError> {
         let seed = self.seed.wrapping_add(self.history.len() as u64);
-        let warm = if self.continuity {
-            self.history.last().map(|s| s.sources.clone())
-        } else {
-            None
-        };
-        let solution = match warm {
-            Some(warm) => {
-                let radius = self
-                    .drift_limit
-                    .unwrap_or_else(|| (self.problem.constraints().max_sources / 3).max(2));
-                self.problem
-                    .solve_near_cancel(self.solver.as_ref(), seed, &warm, radius, cancel)?
+        let warm: Option<Vec<usize>> = match self.history.last() {
+            Some(last) if self.continuity => {
+                Some(last.sources.iter().map(|id| id.index()).collect())
             }
-            None => self
-                .problem
-                .solve_cancel(self.solver.as_ref(), seed, cancel)?,
+            _ => None,
         };
+        let start = match &warm {
+            Some(warm) => Start::Within(warm, (self.problem.constraints().max_sources / 3).max(2)),
+            None => Start::Cold,
+        };
+        let solution = self
+            .problem
+            .solve_with(self.solver.as_ref(), seed, start, cancel)?;
         // Defense-in-depth: independently audit the returned solution
         // against the full constraint set and QEF bounds before recording
         // it, so a solver or objective bug surfaces here instead of as a
@@ -194,9 +179,7 @@ impl Session {
             .universe()
             .source_by_name(name)
             .map(super::source::Source::id)
-            .ok_or_else(|| MubeError::UnknownAttribute {
-                detail: format!("source `{name}`"),
-            })?;
+            .ok_or_else(|| MubeError::UnknownSourceName { name: name.into() })?;
         self.pin_source(id)
     }
 
@@ -213,9 +196,7 @@ impl Session {
             .universe()
             .source_by_name(name)
             .map(super::source::Source::id)
-            .ok_or_else(|| MubeError::UnknownAttribute {
-                detail: format!("source `{name}`"),
-            })?;
+            .ok_or_else(|| MubeError::UnknownSourceName { name: name.into() })?;
         self.unpin_source(id)
     }
 
@@ -250,8 +231,8 @@ impl Session {
         let mut attrs = Vec::with_capacity(pairs.len());
         for (source_name, attr_name) in pairs {
             let source = self.universe().source_by_name(source_name).ok_or_else(|| {
-                MubeError::UnknownAttribute {
-                    detail: format!("source `{source_name}`"),
+                MubeError::UnknownSourceName {
+                    name: (*source_name).to_string(),
                 }
             })?;
             let idx = source
@@ -278,13 +259,6 @@ impl Session {
     /// Sets one QEF's weight, rescaling the others proportionally.
     pub fn set_weight(&mut self, qef: &str, weight: f64) -> Result<(), MubeError> {
         let qefs = self.problem.qefs().reweighted(qef, weight)?;
-        self.problem.set_qefs(qefs);
-        Ok(())
-    }
-
-    /// Replaces all weights (same order as the QEFs were registered).
-    pub fn set_weights(&mut self, weights: &[f64]) -> Result<(), MubeError> {
-        let qefs = self.problem.qefs().with_weights(weights)?;
         self.problem.set_qefs(qefs);
         Ok(())
     }

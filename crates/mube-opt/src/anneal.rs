@@ -11,7 +11,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::cancel::CancelToken;
 use crate::problem::{
-    random_feasible, random_move, Incumbent, SolveResult, SubsetObjective, SubsetSolver,
+    random_feasible, random_move, Incumbent, SolveResult, Start, SubsetObjective, SubsetSolver,
+    DEFAULT_MAX_EVALUATIONS,
 };
 
 /// Simulated annealing configuration.
@@ -33,7 +34,7 @@ impl Default for SimulatedAnnealing {
             initial_temperature: 0.05,
             cooling: 0.999,
             min_temperature: 1e-5,
-            max_evaluations: 20_000,
+            max_evaluations: DEFAULT_MAX_EVALUATIONS,
         }
     }
 }
@@ -43,14 +44,12 @@ impl SubsetSolver for SimulatedAnnealing {
         "annealing"
     }
 
-    fn solve(&self, objective: &dyn SubsetObjective, seed: u64) -> SolveResult {
-        self.solve_cancel(objective, seed, &CancelToken::none())
-    }
-
-    fn solve_cancel(
+    /// Ignores `start`: every run starts from its own random solution.
+    fn solve_with(
         &self,
         objective: &dyn SubsetObjective,
         seed: u64,
+        _start: Start<'_>,
         cancel: &CancelToken,
     ) -> SolveResult {
         let mut rng = StdRng::seed_from_u64(seed);

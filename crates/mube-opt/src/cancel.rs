@@ -181,12 +181,6 @@ impl CancelToken {
         }
         false
     }
-
-    /// True if this token can ever cancel (i.e. is not
-    /// [`CancelToken::none`]).
-    pub fn can_cancel(&self) -> bool {
-        self.inner.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -196,7 +190,6 @@ mod tests {
     #[test]
     fn none_never_cancels() {
         let t = CancelToken::none();
-        assert!(!t.can_cancel());
         t.cancel();
         assert!(!t.is_cancelled());
     }

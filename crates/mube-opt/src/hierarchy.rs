@@ -25,7 +25,7 @@
 //! feasible (if unimproved) solution.
 
 use crate::cancel::CancelToken;
-use crate::problem::{SolveResult, SubsetObjective, SubsetSolver};
+use crate::problem::{SolveResult, Start, SubsetObjective, SubsetSolver};
 
 /// Seed-stream separator between the coarse and fine solves, so the two
 /// levels never replay the same random walk. Odd constant, same derivation
@@ -138,9 +138,9 @@ where
     O: SubsetObjective,
     E: FnOnce(&[usize]) -> O,
 {
-    let coarse_result = solver.solve_cancel(coarse, seed, cancel);
+    let coarse_result = solver.solve_with(coarse, seed, Start::Cold, cancel);
     let objective = expand(&coarse_result.selected);
-    let fine = solver.solve_cancel(&objective, seed ^ FINE_STREAM, cancel);
+    let fine = solver.solve_with(&objective, seed ^ FINE_STREAM, Start::Cold, cancel);
     TwoLevelResult {
         coarse: coarse_result,
         fine,

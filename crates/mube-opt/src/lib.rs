@@ -8,6 +8,14 @@
 //! found tabu search the most robust — this crate implements all four behind
 //! one [`SubsetSolver`] interface so the comparison can be reproduced.
 //!
+//! Every solver (and the [`Portfolio`]) has one entry point,
+//! [`SubsetSolver::solve_with`]`(objective, seed, start, &cancel)`. The
+//! [`Start`] argument is the only way to warm-start a run: [`Start::Cold`],
+//! [`Start::Warm`] from a previous selection, or [`Start::Within`] a trust
+//! region around it. The [`CancelToken`] bounds the run (see [`cancel`]).
+//! [`SubsetSolver::solve`] is the cold run with no deadline.
+//! [`solver_by_name`] builds any of the four solvers from its name.
+//!
 //! The crate is deliberately independent of the `µBE` data model: anything
 //! implementing [`SubsetObjective`] can be solved, which is also how the
 //! algorithms are unit-tested on transparent toy objectives.
@@ -46,10 +54,9 @@ pub use anneal::SimulatedAnnealing;
 pub use cancel::{CancelClock, CancelToken, ManualClock, MonotonicClock};
 pub use hierarchy::{solve_two_level, RestrictedObjective, TwoLevelResult};
 pub use portfolio::{
-    budgeted_member, default_member, member_panics_total, parse_portfolio_spec, MemberRun,
-    Portfolio, PortfolioRun,
+    member_panics_total, parse_portfolio_spec, solver_by_name, MemberRun, Portfolio, PortfolioRun,
 };
-pub use problem::{SolveResult, SubsetObjective, SubsetSolver};
+pub use problem::{SolveResult, Start, SubsetObjective, SubsetSolver, DEFAULT_MAX_EVALUATIONS};
 pub use pso::ParticleSwarm;
 pub use sls::StochasticLocalSearch;
 pub use tabu::{InitStrategy, TabuSearch};

@@ -34,7 +34,10 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::anneal::SimulatedAnnealing;
 use crate::cancel::CancelToken;
-use crate::problem::{debug_validate_result, SolveResult, SubsetObjective, SubsetSolver};
+use crate::problem::{
+    debug_validate_result, SolveResult, Start, SubsetObjective, SubsetSolver,
+    DEFAULT_MAX_EVALUATIONS,
+};
 use crate::pso::ParticleSwarm;
 use crate::sls::StochasticLocalSearch;
 use crate::tabu::TabuSearch;
@@ -96,13 +99,6 @@ struct Champion {
     trace: Vec<(usize, f64)>,
 }
 
-/// What kind of start each member performs.
-enum Mode<'a> {
-    Cold,
-    Warm(&'a [usize]),
-    Within(&'a [usize], usize),
-}
-
 /// A parallel multi-start portfolio of subset solvers.
 pub struct Portfolio {
     members: Vec<Box<dyn SubsetSolver>>,
@@ -110,8 +106,35 @@ pub struct Portfolio {
     label: String,
 }
 
+/// The name → solver table: the default-configured solver called `name`
+/// (`tabu`, `sls`, `anneal`/`annealing` or `pso`; its
+/// [`SubsetSolver::name`] is the canonical form) with its evaluation budget
+/// capped at `max_evaluations`, or `None` for an unknown name. At
+/// [`DEFAULT_MAX_EVALUATIONS`] it is exactly the solver's `Default`.
+pub fn solver_by_name(name: &str, max_evaluations: u64) -> Option<Box<dyn SubsetSolver>> {
+    Some(match name {
+        "tabu" => Box::new(TabuSearch {
+            max_evaluations,
+            ..TabuSearch::default()
+        }),
+        "sls" => Box::new(StochasticLocalSearch {
+            max_evaluations,
+            ..Default::default()
+        }),
+        "anneal" | "annealing" => Box::new(SimulatedAnnealing {
+            max_evaluations,
+            ..Default::default()
+        }),
+        "pso" => Box::new(ParticleSwarm {
+            max_evaluations,
+            ..Default::default()
+        }),
+        _ => return None,
+    })
+}
+
 /// Canonicalizes a `tabu,sls,anneal` spec into member solver names.
-/// Accepted tokens: `tabu`, `sls`, `anneal`/`annealing`, `pso`.
+/// Accepted tokens are the names [`solver_by_name`] accepts.
 pub fn parse_portfolio_spec(spec: &str) -> Result<Vec<String>, String> {
     let mut names = Vec::new();
     for raw in spec.split(',') {
@@ -119,60 +142,15 @@ pub fn parse_portfolio_spec(spec: &str) -> Result<Vec<String>, String> {
         if tok.is_empty() {
             continue;
         }
-        let canon = match tok {
-            "tabu" => "tabu",
-            "sls" => "sls",
-            "anneal" | "annealing" => "annealing",
-            "pso" => "pso",
-            other => {
-                return Err(format!(
-                    "unknown portfolio member `{other}` (expected tabu, sls, anneal, or pso)"
-                ))
-            }
-        };
-        names.push(canon.to_string());
+        let solver = solver_by_name(tok, DEFAULT_MAX_EVALUATIONS).ok_or_else(|| {
+            format!("unknown portfolio member `{tok}` (expected tabu, sls, anneal, or pso)")
+        })?;
+        names.push(solver.name().to_string());
     }
     if names.is_empty() {
         return Err("empty portfolio spec".into());
     }
     Ok(names)
-}
-
-/// A default-configured solver by canonical name (as produced by
-/// [`parse_portfolio_spec`]).
-pub fn default_member(name: &str) -> Option<Box<dyn SubsetSolver>> {
-    match name {
-        "tabu" => Some(Box::new(TabuSearch::default())),
-        "sls" => Some(Box::new(StochasticLocalSearch::default())),
-        "annealing" => Some(Box::new(SimulatedAnnealing::default())),
-        "pso" => Some(Box::new(ParticleSwarm::default())),
-        _ => None,
-    }
-}
-
-/// Like [`default_member`], with the member's evaluation budget capped at
-/// `max_evaluations` — for callers (like the session server) that bound
-/// per-solve latency.
-pub fn budgeted_member(name: &str, max_evaluations: u64) -> Option<Box<dyn SubsetSolver>> {
-    match name {
-        "tabu" => Some(Box::new(TabuSearch {
-            max_evaluations,
-            ..TabuSearch::default()
-        })),
-        "sls" => Some(Box::new(StochasticLocalSearch {
-            max_evaluations,
-            ..Default::default()
-        })),
-        "annealing" => Some(Box::new(SimulatedAnnealing {
-            max_evaluations,
-            ..Default::default()
-        })),
-        "pso" => Some(Box::new(ParticleSwarm {
-            max_evaluations,
-            ..Default::default()
-        })),
-        _ => None,
-    }
 }
 
 impl Portfolio {
@@ -200,7 +178,10 @@ impl Portfolio {
         let mut members: Vec<Box<dyn SubsetSolver>> = Vec::new();
         for _ in 0..restarts.max(1) {
             for name in &names {
-                members.push(default_member(name).expect("spec names are canonical"));
+                members.push(
+                    solver_by_name(name, DEFAULT_MAX_EVALUATIONS)
+                        .expect("spec names are canonical"),
+                );
             }
         }
         Ok(Portfolio::new(members))
@@ -221,84 +202,26 @@ impl Portfolio {
     /// The seed stream for member `worker`: a `SplitMix64` finalizer over the
     /// run seed and the worker id, so streams are decorrelated and depend
     /// only on `(seed, worker)`.
-    pub fn worker_seed(seed: u64, worker: u64) -> u64 {
+    fn worker_seed(seed: u64, worker: u64) -> u64 {
         let mut z = seed ^ worker.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
 
-    /// Runs every member and returns the full outcome.
+    /// Runs every member cold and returns the full outcome.
     pub fn run(&self, objective: &dyn SubsetObjective, seed: u64) -> PortfolioRun {
-        self.run_mode(objective, seed, &Mode::Cold, &CancelToken::none())
+        self.run_with(objective, seed, Start::Cold, &CancelToken::none())
     }
 
-    /// Like [`Portfolio::run`], warm-starting every member from `warm`.
-    pub fn run_from(
+    /// Runs every member from `start` (members without a warm-start notion
+    /// start cold) under one shared [`CancelToken`] that every member polls
+    /// between evaluations — one deadline bounds the whole portfolio.
+    pub fn run_with(
         &self,
         objective: &dyn SubsetObjective,
         seed: u64,
-        warm: &[usize],
-    ) -> PortfolioRun {
-        self.run_mode(objective, seed, &Mode::Warm(warm), &CancelToken::none())
-    }
-
-    /// Like [`Portfolio::run_from`], bounding each member's drift from the
-    /// warm start to `radius` (for members that support trust regions).
-    pub fn run_within(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        warm: &[usize],
-        radius: usize,
-    ) -> PortfolioRun {
-        self.run_mode(
-            objective,
-            seed,
-            &Mode::Within(warm, radius),
-            &CancelToken::none(),
-        )
-    }
-
-    /// Like [`Portfolio::run`], with a shared [`CancelToken`] every member
-    /// polls between evaluations — one deadline bounds the whole portfolio.
-    pub fn run_cancel(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        cancel: &CancelToken,
-    ) -> PortfolioRun {
-        self.run_mode(objective, seed, &Mode::Cold, cancel)
-    }
-
-    /// Cancellable form of [`Portfolio::run_from`].
-    pub fn run_from_cancel(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        warm: &[usize],
-        cancel: &CancelToken,
-    ) -> PortfolioRun {
-        self.run_mode(objective, seed, &Mode::Warm(warm), cancel)
-    }
-
-    /// Cancellable form of [`Portfolio::run_within`].
-    pub fn run_within_cancel(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        warm: &[usize],
-        radius: usize,
-        cancel: &CancelToken,
-    ) -> PortfolioRun {
-        self.run_mode(objective, seed, &Mode::Within(warm, radius), cancel)
-    }
-
-    fn run_mode(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        mode: &Mode<'_>,
+        start: Start<'_>,
         cancel: &CancelToken,
     ) -> PortfolioRun {
         let n = self.members.len();
@@ -334,13 +257,8 @@ impl Portfolio {
                         // its slot, the survivors' champion still wins, and
                         // the failure is counted instead of poisoning the
                         // whole portfolio (and the server worker above it).
-                        let outcome = catch_unwind(AssertUnwindSafe(|| match *mode {
-                            Mode::Cold => self.members[w].solve_cancel(obj, wseed, cancel),
-                            Mode::Warm(warm) => {
-                                self.members[w].solve_from_cancel(obj, wseed, warm, cancel)
-                            }
-                            Mode::Within(warm, radius) => self.members[w]
-                                .solve_within_cancel(obj, wseed, warm, radius, cancel),
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            self.members[w].solve_with(obj, wseed, start, cancel)
                         }));
                         let result = match outcome {
                             Ok(result) => result,
@@ -432,58 +350,14 @@ impl SubsetSolver for Portfolio {
         &self.label
     }
 
-    fn solve(&self, objective: &dyn SubsetObjective, seed: u64) -> SolveResult {
-        self.run(objective, seed).result
-    }
-
-    fn solve_from(
+    fn solve_with(
         &self,
         objective: &dyn SubsetObjective,
         seed: u64,
-        warm: &[usize],
-    ) -> SolveResult {
-        self.run_from(objective, seed, warm).result
-    }
-
-    fn solve_within(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        warm: &[usize],
-        radius: usize,
-    ) -> SolveResult {
-        self.run_within(objective, seed, warm, radius).result
-    }
-
-    fn solve_cancel(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
+        start: Start<'_>,
         cancel: &CancelToken,
     ) -> SolveResult {
-        self.run_cancel(objective, seed, cancel).result
-    }
-
-    fn solve_from_cancel(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        warm: &[usize],
-        cancel: &CancelToken,
-    ) -> SolveResult {
-        self.run_from_cancel(objective, seed, warm, cancel).result
-    }
-
-    fn solve_within_cancel(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        warm: &[usize],
-        radius: usize,
-        cancel: &CancelToken,
-    ) -> SolveResult {
-        self.run_within_cancel(objective, seed, warm, radius, cancel)
-            .result
+        self.run_with(objective, seed, start, cancel).result
     }
 }
 
@@ -627,17 +501,18 @@ mod tests {
             .unwrap()
             .threads(3);
         let warm = vec![3, 5, 9];
-        let a = p.run_from(&obj, 13, &warm);
+        let none = CancelToken::none();
+        let a = p.run_with(&obj, 13, Start::Warm(&warm), &none);
         let b = Portfolio::from_spec("tabu,sls,anneal", 1)
             .unwrap()
             .threads(1)
-            .run_from(&obj, 13, &warm);
+            .run_with(&obj, 13, Start::Warm(&warm), &none);
         assert_eq!(a.result, b.result);
-        let c = p.run_within(&obj, 13, &warm, 2);
+        let c = p.run_with(&obj, 13, Start::Within(&warm, 2), &none);
         let d = Portfolio::from_spec("tabu,sls,anneal", 1)
             .unwrap()
             .threads(1)
-            .run_within(&obj, 13, &warm, 2);
+            .run_with(&obj, 13, Start::Within(&warm, 2), &none);
         assert_eq!(c.result, d.result);
     }
 
@@ -696,7 +571,13 @@ mod tests {
         fn name(&self) -> &str {
             "boom"
         }
-        fn solve(&self, _objective: &dyn SubsetObjective, _seed: u64) -> SolveResult {
+        fn solve_with(
+            &self,
+            _objective: &dyn SubsetObjective,
+            _seed: u64,
+            _start: Start<'_>,
+            _cancel: &CancelToken,
+        ) -> SolveResult {
             panic!("deliberate member panic (containment test)");
         }
     }
@@ -758,7 +639,7 @@ mod tests {
         let p = Portfolio::from_spec("tabu,sls,anneal,pso", 1)
             .unwrap()
             .threads(2);
-        let run = p.run_cancel(&obj, 17, &token);
+        let run = p.run_with(&obj, 17, Start::Cold, &token);
         assert!(run.result.timed_out);
         assert_eq!(run.members.len(), 4);
         for m in &run.members {
@@ -779,7 +660,7 @@ mod tests {
     fn uncancelled_token_matches_token_free_run() {
         let obj = toy();
         let p = Portfolio::from_spec("tabu,sls", 2).unwrap().threads(2);
-        let with_token = p.run_cancel(&obj, 31, &CancelToken::new());
+        let with_token = p.run_with(&obj, 31, Start::Cold, &CancelToken::new());
         let without = p.run(&obj, 31);
         assert_eq!(with_token.result, without.result);
         assert_eq!(with_token.winner, without.winner);

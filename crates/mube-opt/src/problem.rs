@@ -38,6 +38,9 @@ pub trait SubsetObjective: Sync {
     }
 }
 
+/// The evaluation budget every solver in this crate defaults to.
+pub const DEFAULT_MAX_EVALUATIONS: u64 = 20_000;
+
 /// Outcome of one solver run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveResult {
@@ -55,6 +58,26 @@ pub struct SolveResult {
     pub timed_out: bool,
 }
 
+/// Where a solver run starts.
+///
+/// The one way to warm-start a solver: `µBE`'s §6 loop re-solves after each
+/// edit, and tabu search continues from the previous solution instead of a
+/// random one, after repairing it against the current constraints (required
+/// elements forced in, the size bound enforced). Solvers without a
+/// warm-start notion (SLS, annealing, PSO) treat every start as
+/// [`Start::Cold`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Start<'a> {
+    /// The solver's own initial solution.
+    Cold,
+    /// Continue from a previous selection.
+    Warm(&'a [usize]),
+    /// Continue from a previous selection, and return a solution whose
+    /// Hamming distance (elements added + elements removed) from the
+    /// repaired warm start is at most the radius.
+    Within(&'a [usize], usize),
+}
+
 /// A subset-selection solver.
 ///
 /// `Send + Sync` is a supertrait so a boxed solver (and therefore a whole
@@ -65,73 +88,20 @@ pub trait SubsetSolver: Send + Sync {
     /// Human-readable algorithm name, e.g. `"tabu"`.
     fn name(&self) -> &str;
 
-    /// Runs the solver with a deterministic RNG seed.
-    fn solve(&self, objective: &dyn SubsetObjective, seed: u64) -> SolveResult;
-
-    /// Runs the solver warm-started from a previous solution, for solvers
-    /// that support it (tabu search); the default ignores the hint and
-    /// solves cold.
-    fn solve_from(
+    /// Runs the solver with a deterministic RNG seed from `start`, polling
+    /// `cancel` between evaluations: when it fires, the best-so-far
+    /// incumbent is returned flagged [`SolveResult::timed_out`].
+    fn solve_with(
         &self,
         objective: &dyn SubsetObjective,
         seed: u64,
-        _warm: &[usize],
-    ) -> SolveResult {
-        self.solve(objective, seed)
-    }
-
-    /// Like [`SubsetSolver::solve_from`], but additionally *bounds the
-    /// drift*: solvers that support a trust region (tabu search) return a
-    /// solution whose Hamming distance from the (repaired) warm start is at
-    /// most `radius`. The default ignores the radius and warm-starts plainly.
-    fn solve_within(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        warm: &[usize],
-        _radius: usize,
-    ) -> SolveResult {
-        self.solve_from(objective, seed, warm)
-    }
-
-    /// Like [`SubsetSolver::solve`], but polls `cancel` between evaluations
-    /// and returns the best-so-far incumbent (flagged
-    /// [`SolveResult::timed_out`]) when it fires. The default ignores the
-    /// token so third-party solvers keep working unmodified; every solver in
-    /// this crate overrides it.
-    fn solve_cancel(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
+        start: Start<'_>,
         cancel: &CancelToken,
-    ) -> SolveResult {
-        let _ = cancel;
-        self.solve(objective, seed)
-    }
+    ) -> SolveResult;
 
-    /// Cancellable form of [`SubsetSolver::solve_from`].
-    fn solve_from_cancel(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        warm: &[usize],
-        cancel: &CancelToken,
-    ) -> SolveResult {
-        let _ = cancel;
-        self.solve_from(objective, seed, warm)
-    }
-
-    /// Cancellable form of [`SubsetSolver::solve_within`].
-    fn solve_within_cancel(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        warm: &[usize],
-        radius: usize,
-        cancel: &CancelToken,
-    ) -> SolveResult {
-        let _ = cancel;
-        self.solve_within(objective, seed, warm, radius)
+    /// A cold, uncancellable run.
+    fn solve(&self, objective: &dyn SubsetObjective, seed: u64) -> SolveResult {
+        self.solve_with(objective, seed, Start::Cold, &CancelToken::none())
     }
 }
 

@@ -12,7 +12,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cancel::CancelToken;
-use crate::problem::{Incumbent, SolveResult, SubsetObjective, SubsetSolver};
+use crate::problem::{
+    Incumbent, SolveResult, Start, SubsetObjective, SubsetSolver, DEFAULT_MAX_EVALUATIONS,
+};
 
 /// Binary PSO configuration.
 #[derive(Debug, Clone)]
@@ -42,7 +44,7 @@ impl Default for ParticleSwarm {
             social: 1.5,
             v_max: 4.0,
             max_generations: 200,
-            max_evaluations: 20_000,
+            max_evaluations: DEFAULT_MAX_EVALUATIONS,
         }
     }
 }
@@ -64,14 +66,12 @@ impl SubsetSolver for ParticleSwarm {
         "pso"
     }
 
-    fn solve(&self, objective: &dyn SubsetObjective, seed: u64) -> SolveResult {
-        self.solve_cancel(objective, seed, &CancelToken::none())
-    }
-
-    fn solve_cancel(
+    /// Ignores `start`: every run starts from its own random solution.
+    fn solve_with(
         &self,
         objective: &dyn SubsetObjective,
         seed: u64,
+        _start: Start<'_>,
         cancel: &CancelToken,
     ) -> SolveResult {
         let mut rng = StdRng::seed_from_u64(seed);

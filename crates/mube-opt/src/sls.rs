@@ -12,7 +12,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::cancel::CancelToken;
 use crate::problem::{
-    random_feasible, random_move, Incumbent, SolveResult, SubsetObjective, SubsetSolver,
+    random_feasible, random_move, Incumbent, SolveResult, Start, SubsetObjective, SubsetSolver,
+    DEFAULT_MAX_EVALUATIONS,
 };
 
 /// Stochastic local search configuration.
@@ -34,7 +35,7 @@ impl Default for StochasticLocalSearch {
             restarts: 8,
             steps_per_restart: 2_500,
             noise: 0.1,
-            max_evaluations: 20_000,
+            max_evaluations: DEFAULT_MAX_EVALUATIONS,
         }
     }
 }
@@ -44,14 +45,12 @@ impl SubsetSolver for StochasticLocalSearch {
         "sls"
     }
 
-    fn solve(&self, objective: &dyn SubsetObjective, seed: u64) -> SolveResult {
-        self.solve_cancel(objective, seed, &CancelToken::none())
-    }
-
-    fn solve_cancel(
+    /// Ignores `start`: every run starts from its own random solution.
+    fn solve_with(
         &self,
         objective: &dyn SubsetObjective,
         seed: u64,
+        _start: Start<'_>,
         cancel: &CancelToken,
     ) -> SolveResult {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -22,7 +22,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::cancel::CancelToken;
 use crate::problem::{
-    random_feasible, Incumbent, Move, SolveResult, SubsetObjective, SubsetSolver,
+    random_feasible, Incumbent, Move, SolveResult, Start, SubsetObjective, SubsetSolver,
+    DEFAULT_MAX_EVALUATIONS,
 };
 
 /// How the starting solution is constructed.
@@ -38,12 +39,6 @@ pub enum InitStrategy {
         /// Candidates sampled per greedy step.
         sample: usize,
     },
-    /// Start from a caller-provided solution — the *warm start* used when
-    /// re-solving after a small change (new weights, one more constraint),
-    /// which keeps consecutive `µBE` iterations stable. Elements violating
-    /// the constraints are repaired: required elements are forced in and
-    /// the selection is truncated to `max_selected`.
-    Provided(Vec<usize>),
 }
 
 /// Tabu search configuration.
@@ -62,12 +57,6 @@ pub struct TabuSearch {
     pub max_evaluations: u64,
     /// Starting-solution construction.
     pub init: InitStrategy,
-    /// Trust region: when set, the search never visits candidates whose
-    /// Hamming distance (elements added + elements removed) from the
-    /// *starting* solution exceeds this bound. This is what makes a warm
-    /// start a *continuity* guarantee rather than a hint: the returned
-    /// solution can drift at most this far from the incumbent it grew from.
-    pub trust_region: Option<usize>,
 }
 
 impl Default for TabuSearch {
@@ -77,9 +66,8 @@ impl Default for TabuSearch {
             candidates_per_iter: 32,
             stall_limit: 40,
             max_iterations: 400,
-            max_evaluations: 20_000,
+            max_evaluations: DEFAULT_MAX_EVALUATIONS,
             init: InitStrategy::Random,
-            trust_region: None,
         }
     }
 }
@@ -89,66 +77,14 @@ impl SubsetSolver for TabuSearch {
         "tabu"
     }
 
-    fn solve_from(
+    fn solve_with(
         &self,
         objective: &dyn SubsetObjective,
         seed: u64,
-        warm: &[usize],
-    ) -> SolveResult {
-        self.solve_from_cancel(objective, seed, warm, &CancelToken::none())
-    }
-
-    fn solve_within(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        warm: &[usize],
-        radius: usize,
-    ) -> SolveResult {
-        self.solve_within_cancel(objective, seed, warm, radius, &CancelToken::none())
-    }
-
-    fn solve(&self, objective: &dyn SubsetObjective, seed: u64) -> SolveResult {
-        self.search(objective, seed, 0, &CancelToken::none()).0
-    }
-
-    fn solve_cancel(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
+        start: Start<'_>,
         cancel: &CancelToken,
     ) -> SolveResult {
-        self.search(objective, seed, 0, cancel).0
-    }
-
-    fn solve_from_cancel(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        warm: &[usize],
-        cancel: &CancelToken,
-    ) -> SolveResult {
-        let warmed = TabuSearch {
-            init: InitStrategy::Provided(warm.to_vec()),
-            ..self.clone()
-        };
-        warmed.search(objective, seed, 0, cancel).0
-    }
-
-    fn solve_within_cancel(
-        &self,
-        objective: &dyn SubsetObjective,
-        seed: u64,
-        warm: &[usize],
-        radius: usize,
-        cancel: &CancelToken,
-    ) -> SolveResult {
-        let warmed = TabuSearch {
-            init: InitStrategy::Provided(warm.to_vec()),
-            trust_region: Some(radius),
-            ..self.clone()
-        };
-        warmed.search(objective, seed, 0, cancel).0
+        self.search(objective, seed, start, 0, cancel).0
     }
 }
 
@@ -164,13 +100,14 @@ impl TabuSearch {
         seed: u64,
         k: usize,
     ) -> (SolveResult, Vec<(f64, Vec<usize>)>) {
-        self.search(objective, seed, k, &CancelToken::none())
+        self.search(objective, seed, Start::Cold, k, &CancelToken::none())
     }
 
     fn search(
         &self,
         objective: &dyn SubsetObjective,
         seed: u64,
+        start: Start<'_>,
         elite_capacity: usize,
         cancel: &CancelToken,
     ) -> (SolveResult, Vec<(f64, Vec<usize>)>) {
@@ -184,17 +121,20 @@ impl TabuSearch {
         let mut incumbent = Incumbent::new(objective, self.max_evaluations)
             .with_elites(elite_capacity)
             .with_cancel(cancel.clone());
-        let mut current = match &self.init {
-            InitStrategy::Random => random_feasible(objective, &mut rng),
-            InitStrategy::Greedy { sample } => {
+        let mut current = match (start, &self.init) {
+            (Start::Warm(warm) | Start::Within(warm, _), _) => repair(objective, &required, warm),
+            (Start::Cold, InitStrategy::Random) => random_feasible(objective, &mut rng),
+            (Start::Cold, InitStrategy::Greedy { sample }) => {
                 greedy_construct(objective, &required, *sample, &mut incumbent, &mut rng)
             }
-            InitStrategy::Provided(warm) => repair(objective, &required, warm),
         };
         // The trust region is anchored at the (repaired) starting solution,
         // so forced repairs (new pins, a tightened size bound) never eat
         // into the drift budget.
-        let anchor = self.trust_region.map(|radius| (current.clone(), radius));
+        let anchor = match start {
+            Start::Within(_, radius) => Some((current.clone(), radius)),
+            Start::Cold | Start::Warm(_) => None,
+        };
         incumbent.score(&current);
 
         // tabu_until[i] = first iteration at which element i may move again.
@@ -741,11 +681,8 @@ mod warm_tests {
             max: 4,
             required: vec![],
         };
-        let cfg = TabuSearch {
-            init: InitStrategy::Provided(vec![0, 1, 2, 3]), // worst possible
-            ..TabuSearch::default()
-        };
-        let r = cfg.solve(&toy, 1);
+        let warm = [0, 1, 2, 3]; // worst possible
+        let r = TabuSearch::default().solve_with(&toy, 1, Start::Warm(&warm), &CancelToken::none());
         assert_eq!(r.selected, vec![26, 27, 28, 29]);
     }
 
@@ -757,12 +694,12 @@ mod warm_tests {
             required: vec![9],
         };
         let cfg = TabuSearch {
-            init: InitStrategy::Provided(vec![0, 1, 2, 3, 4, 99]), // too big + foreign
-            max_evaluations: 1,                                    // only the initial evaluation
+            max_evaluations: 1, // only the initial evaluation
             max_iterations: 0,
             ..TabuSearch::default()
         };
-        let r = cfg.solve(&toy, 1);
+        let warm = [0, 1, 2, 3, 4, 99]; // too big + foreign
+        let r = cfg.solve_with(&toy, 1, Start::Warm(&warm), &CancelToken::none());
         assert!(r.selected.contains(&9));
         assert!(r.selected.len() <= 3);
         assert!(r.selected.iter().all(|&i| i < 10));
@@ -779,7 +716,12 @@ mod warm_tests {
             required: vec![],
         };
         let warm = vec![0, 1, 2, 3];
-        let r = TabuSearch::default().solve_within(&toy, 1, &warm, 2);
+        let r = TabuSearch::default().solve_with(
+            &toy,
+            1,
+            Start::Within(&warm, 2),
+            &CancelToken::none(),
+        );
         let moved = r.selected.iter().filter(|i| !warm.contains(i)).count()
             + warm.iter().filter(|i| !r.selected.contains(i)).count();
         assert!(moved <= 2, "drifted {moved} > 2: {:?}", r.selected);
@@ -798,7 +740,12 @@ mod warm_tests {
         let warm = vec![3, 8, 12, 20, 25];
         let warm_score: f64 = warm.iter().map(|&i| values[i]).sum();
         for radius in [0, 1, 3, 6] {
-            let r = TabuSearch::default().solve_within(&toy, 9, &warm, radius);
+            let r = TabuSearch::default().solve_with(
+                &toy,
+                9,
+                Start::Within(&warm, radius),
+                &CancelToken::none(),
+            );
             assert!(
                 r.score >= warm_score,
                 "radius {radius}: {} < {warm_score}",
@@ -815,7 +762,12 @@ mod warm_tests {
             max: 3,
             required: vec![],
         };
-        let r = TabuSearch::default().solve_within(&toy, 4, &[2, 5, 7], 0);
+        let r = TabuSearch::default().solve_with(
+            &toy,
+            4,
+            Start::Within(&[2, 5, 7], 0),
+            &CancelToken::none(),
+        );
         assert_eq!(r.selected, vec![2, 5, 7]);
     }
 
@@ -828,11 +780,8 @@ mod warm_tests {
             max: 3,
             required: vec![],
         };
-        let cfg = TabuSearch {
-            init: InitStrategy::Provided(vec![17, 18, 19]),
-            ..TabuSearch::default()
-        };
-        let r = cfg.solve(&toy, 2);
+        let warm = [17, 18, 19];
+        let r = TabuSearch::default().solve_with(&toy, 2, Start::Warm(&warm), &CancelToken::none());
         assert_eq!(r.selected, vec![17, 18, 19]);
     }
 }

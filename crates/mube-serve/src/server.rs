@@ -34,10 +34,7 @@ use mube_exec::{
     SpanBackend, VirtualClock,
 };
 use mube_match::{ClusterMatcher, JaccardNGram, SimilarityCache};
-use mube_opt::{
-    CancelToken, ParticleSwarm, Portfolio, SimulatedAnnealing, StochasticLocalSearch, SubsetSolver,
-    TabuSearch,
-};
+use mube_opt::{CancelToken, Portfolio, SubsetSolver};
 
 use crate::http::{self, HttpError, Request};
 use crate::json::Json;
@@ -807,7 +804,9 @@ fn error_body(code: &str, message: &str, extra: impl FnOnce(&mut JsonBuf)) -> St
 fn engine_code(e: &MubeError) -> (u16, &'static str) {
     match e {
         MubeError::StaleGaIndex { .. } => (409, "stale_ga_index"),
-        MubeError::UnknownAttribute { .. } => (422, "unknown_name"),
+        MubeError::UnknownAttribute { .. } | MubeError::UnknownSourceName { .. } => {
+            (422, "unknown_name")
+        }
         MubeError::UnknownSource { .. } => (422, "unknown_source"),
         MubeError::UnknownQef { .. } => (422, "unknown_qef"),
         MubeError::InvalidWeights { .. } => (422, "invalid_weights"),
@@ -1095,18 +1094,6 @@ fn create_catalog(state: &ServerState, req: &Request) -> Result<(u16, String), A
     Ok((201, j.finish()))
 }
 
-fn make_solver(name: &str, max_evaluations: u64) -> Box<dyn SubsetSolver> {
-    match name {
-        "sls" => Box::new(StochasticLocalSearch::default()),
-        "annealing" => Box::new(SimulatedAnnealing::default()),
-        "pso" => Box::new(ParticleSwarm::default()),
-        _ => Box::new(TabuSearch {
-            max_evaluations,
-            ..TabuSearch::default()
-        }),
-    }
-}
-
 /// Upper bounds on the compute one `POST /sessions` may reserve. Exceeding
 /// any of them is a 422 `invalid_parameter` carrying lint code `MUBE015`
 /// (see PROTOCOL.md).
@@ -1344,7 +1331,9 @@ fn build_session_from_body(
             let id = universe
                 .source_by_name(name)
                 .map(mube_core::Source::id)
-                .ok_or_else(|| ApiError::new(422, "unknown_name", &format!("source `{name}`")))?;
+                .ok_or_else(|| {
+                    ApiError::new(422, "unknown_name", &format!("unknown source `{name}`"))
+                })?;
             constraints.required_sources.insert(id);
         }
     }
@@ -1390,11 +1379,16 @@ fn build_session_from_body(
         .map_err(|e| conflict_error(&e, &universe, &constraints))?;
 
     let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(0);
-    let solver_name = body
-        .get("solver")
-        .and_then(Json::as_str)
-        .unwrap_or("tabu")
-        .to_string();
+    // Every solver, a portfolio member or not, carries the server's
+    // per-solve evaluation cap.
+    let name = body.get("solver").and_then(Json::as_str).unwrap_or("tabu");
+    let single = mube_opt::solver_by_name(name, max_solve_evaluations).ok_or_else(|| {
+        ApiError::new(
+            422,
+            "invalid_parameter",
+            &format!("unknown solver `{name}` (expected tabu, sls, anneal, or pso)"),
+        )
+    })?;
 
     // Portfolio mode: `portfolio` names the members; `threads` alone (or
     // `restarts` > 1) engages the default spec so thread-count comparisons
@@ -1434,8 +1428,6 @@ fn build_session_from_body(
     }
     let (solver, solver_name): (Box<dyn SubsetSolver>, String) = match portfolio_spec {
         Some(spec) => {
-            // Members carry the server's per-solve evaluation cap, same as
-            // single-solver sessions, so portfolio solves stay bounded.
             let names = mube_opt::parse_portfolio_spec(&spec)
                 .map_err(|e| ApiError::new(422, "invalid_parameter", &e))?;
             let total_members = names.len() * restarts;
@@ -1450,7 +1442,7 @@ fn build_session_from_body(
             for _ in 0..restarts {
                 for name in &names {
                     members.push(
-                        mube_opt::budgeted_member(name, max_solve_evaluations)
+                        mube_opt::solver_by_name(name, max_solve_evaluations)
                             .expect("spec names are canonical"),
                     );
                 }
@@ -1459,10 +1451,10 @@ fn build_session_from_body(
             let label = pf.name().to_string();
             (Box::new(pf), label)
         }
-        None => (
-            make_solver(&solver_name, max_solve_evaluations),
-            solver_name,
-        ),
+        None => {
+            let label = single.name().to_string();
+            (single, label)
+        }
     };
     let mut session = Session::new(problem, solver, seed);
     if body.get("continuity").and_then(Json::as_bool) == Some(true) {

@@ -11,7 +11,7 @@ use mube_core::constraints::Constraints;
 use mube_core::validate::SolutionValidator;
 use mube_integration::{ci_portfolio, ci_tabu, Fixture};
 use mube_opt::{
-    CancelToken, ManualClock, ParticleSwarm, SimulatedAnnealing, StochasticLocalSearch,
+    CancelToken, ManualClock, ParticleSwarm, SimulatedAnnealing, Start, StochasticLocalSearch,
     SubsetObjective, SubsetSolver, TabuSearch,
 };
 
@@ -104,11 +104,11 @@ fn every_solver_honours_a_precancelled_token() {
         let name = solver.name().to_string();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let cut = solver.solve_cancel(&obj, 7, &cancel);
+        let cut = solver.solve_with(&obj, 7, Start::Cold, &cancel);
         assert!(cut.timed_out, "{name}: cancelled run must flag timed_out");
         assert_feasible(&obj, &cut, &name);
 
-        let full = solver.solve_cancel(&obj, 7, &CancelToken::none());
+        let full = solver.solve_with(&obj, 7, Start::Cold, &CancelToken::none());
         assert!(!full.timed_out, "{name}: uncancelled run must not time out");
         assert!(
             cut.evaluations < full.evaluations,
@@ -136,14 +136,14 @@ fn deadline_on_a_manual_clock_is_deterministic() {
     let clock = Arc::new(ManualClock::new());
     clock.advance(Duration::from_millis(5));
     let cancel = CancelToken::with_deadline(Arc::clone(&clock) as _, Duration::ZERO);
-    let result = solver.solve_cancel(&obj, 11, &cancel);
+    let result = solver.solve_with(&obj, 11, Start::Cold, &cancel);
     assert!(result.timed_out);
     assert_feasible(&obj, &result, "tabu/deadline");
 
     // A deadline that never arrives (frozen clock, ample budget) changes
     // nothing: byte-identical to an uncancelled run.
     let frozen = CancelToken::with_deadline(Arc::new(ManualClock::new()), Duration::from_secs(60));
-    let with_deadline = solver.solve_cancel(&obj, 11, &frozen);
+    let with_deadline = solver.solve_with(&obj, 11, Start::Cold, &frozen);
     let without = solver.solve(&obj, 11);
     assert_eq!(with_deadline, without);
     assert!(!with_deadline.timed_out);
@@ -155,11 +155,11 @@ fn portfolio_honours_cancellation_and_stays_feasible() {
     let portfolio = ci_portfolio(2, 4);
     let cancel = CancelToken::new();
     cancel.cancel();
-    let cut = portfolio.solve_cancel(&obj, 21, &cancel);
+    let cut = portfolio.solve_with(&obj, 21, Start::Cold, &cancel);
     assert!(cut.timed_out, "portfolio must propagate member timeouts");
     assert_feasible(&obj, &cut, "portfolio");
 
-    let full = portfolio.solve_cancel(&obj, 21, &CancelToken::none());
+    let full = portfolio.solve_with(&obj, 21, Start::Cold, &CancelToken::none());
     assert!(!full.timed_out);
     assert!(cut.evaluations < full.evaluations);
 }
@@ -171,7 +171,7 @@ fn deadline_cut_problem_solve_passes_the_validator() {
     let cancel = CancelToken::new();
     cancel.cancel();
     let solution = problem
-        .solve_cancel(&ci_tabu(), 7, &cancel)
+        .solve_with(&ci_tabu(), 7, Start::Cold, &cancel)
         .expect("cancelled solve still returns a solution");
     assert!(solution.timed_out, "solution must carry the timeout flag");
     assert!(!solution.sources.is_empty());

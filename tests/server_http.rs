@@ -821,3 +821,79 @@ fn overload_is_shed_with_503_and_counted() {
     handle.shutdown();
     join.join().unwrap().unwrap();
 }
+
+/// The `error.code` and `error.message` of an error body.
+fn error_of(v: &Json) -> (Option<&str>, Option<&str>) {
+    let e = v.get("error");
+    (
+        e.and_then(|e| e.get("code")).and_then(Json::as_str),
+        e.and_then(|e| e.get("message")).and_then(Json::as_str),
+    )
+}
+
+#[test]
+fn unknown_solver_is_refused_and_every_solver_honours_the_cap() {
+    let (handle, join) = spawn(2);
+    let addr = handle.addr();
+    let catalog_id = upload_catalog(addr, 12, 5);
+
+    let body = format!("{{\"catalog\":{catalog_id},\"solver\":\"bogus\"}}");
+    let (status, v) = request(addr, "POST", "/sessions", &body);
+    assert_eq!(status, 422, "{v:?}");
+    assert_eq!(error_of(&v).0, Some("invalid_parameter"), "{v:?}");
+
+    // The server's per-solve cap (800 in `test_config`) bounds every
+    // single solver, not only tabu; `anneal` is the portfolio-spec alias.
+    for (name, canonical) in [
+        ("tabu", "tabu"),
+        ("sls", "sls"),
+        ("anneal", "annealing"),
+        ("pso", "pso"),
+    ] {
+        let body = format!(
+            "{{\"catalog\":{catalog_id},\"solver\":\"{name}\",\"max_sources\":4,\"beta\":1}}"
+        );
+        let (status, v) = request(addr, "POST", "/sessions", &body);
+        assert_eq!(status, 201, "{name}: {v:?}");
+        assert_eq!(v.get("solver").and_then(Json::as_str), Some(canonical));
+        let session = v.get("session").and_then(Json::as_u64).expect("session id");
+        let (status, v) = request(addr, "POST", &format!("/sessions/{session}/solve"), "");
+        assert_eq!(status, 200, "{name}: {v:?}");
+        let evaluations = v
+            .get("solution")
+            .and_then(|s| s.get("evaluations"))
+            .and_then(Json::as_u64)
+            .expect("evaluations");
+        assert!(evaluations <= 800, "{name} spent {evaluations} > 800");
+    }
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn feedback_on_an_unknown_source_names_the_source() {
+    let (handle, join) = spawn(2);
+    let addr = handle.addr();
+    let catalog_id = upload_catalog(addr, 8, 3);
+    let session = create_session(addr, catalog_id, 1);
+
+    for op in ["pin", "unpin"] {
+        let body = format!("{{\"actions\":[{{\"op\":\"{op}\",\"source\":\"ghost\"}}]}}");
+        let (status, v) = request(
+            addr,
+            "POST",
+            &format!("/sessions/{session}/feedback"),
+            &body,
+        );
+        assert_eq!(status, 422, "{op}: {v:?}");
+        assert_eq!(
+            error_of(&v),
+            (Some("unknown_name"), Some("unknown source `ghost`")),
+            "{op}"
+        );
+    }
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
