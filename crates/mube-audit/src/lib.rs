@@ -68,7 +68,6 @@ pub struct Analyzer<'a> {
     raw_weights: Option<&'a [(String, f64)]>,
     similarity: Option<&'a dyn Similarity>,
     scale_threshold: Option<usize>,
-    pruning_enabled: bool,
 }
 
 impl<'a> Analyzer<'a> {
@@ -81,7 +80,6 @@ impl<'a> Analyzer<'a> {
             raw_weights: None,
             similarity: None,
             scale_threshold: None,
-            pruning_enabled: false,
         }
     }
 
@@ -91,14 +89,6 @@ impl<'a> Analyzer<'a> {
     /// end burns its budget going nowhere. Disabled when unset.
     pub fn scale_threshold(mut self, threshold: usize) -> Self {
         self.scale_threshold = Some(threshold);
-        self
-    }
-
-    /// Declares that a pruning front end (e.g. `mube scale-solve` or the
-    /// `prune` block on `POST /sessions`) is active for this run, which
-    /// suppresses MUBE017 regardless of catalog size.
-    pub fn pruning_enabled(mut self, enabled: bool) -> Self {
-        self.pruning_enabled = enabled;
         self
     }
 
@@ -162,7 +152,7 @@ impl<'a> Analyzer<'a> {
     /// Universe-only lints: MUBE011–MUBE013, MUBE016, MUBE017.
     fn lint_catalog(&self, out: &mut Vec<Diagnostic>) {
         if let Some(threshold) = self.scale_threshold {
-            if self.universe.len() > threshold && !self.pruning_enabled {
+            if self.universe.len() > threshold {
                 out.push(Diagnostic::new(
                     DiagCode::UnprunedLargeCatalog,
                     format!(
@@ -853,14 +843,8 @@ mod tests {
     }
 
     #[test]
-    fn mube017_suppressed_by_pruning_or_threshold() {
+    fn mube017_suppressed_at_or_below_the_threshold() {
         let u = universe();
-        // Pruning front end active: the size is fine.
-        let report = Analyzer::new(&u)
-            .scale_threshold(2)
-            .pruning_enabled(true)
-            .run();
-        assert!(report.is_clean(), "{:?}", report.diagnostics());
         // Catalog at or below the threshold: fine.
         let report = Analyzer::new(&u).scale_threshold(3).run();
         assert!(report.is_clean(), "{:?}", report.diagnostics());

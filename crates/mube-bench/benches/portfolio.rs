@@ -21,9 +21,10 @@ fn bench_portfolio_threads(c: &mut Criterion) {
     let mut group = c.benchmark_group("portfolio_solve");
     group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
-        let portfolio = Portfolio::from_spec("tabu,sls,anneal,pso", 2)
-            .expect("spec is valid")
-            .threads(threads);
+        let portfolio =
+            Portfolio::from_spec("tabu,sls,anneal,pso", 2, mube_opt::DEFAULT_MAX_EVALUATIONS)
+                .expect("spec is valid")
+                .threads(threads);
         group.bench_with_input(
             BenchmarkId::from_parameter(threads),
             &portfolio,

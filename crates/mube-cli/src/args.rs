@@ -8,6 +8,7 @@
 use std::str::FromStr;
 use std::time::Duration;
 
+use mube_opt::SolverChoice;
 use mube_serve::FsyncPolicy;
 use mube_synth::DomainKind;
 
@@ -347,7 +348,8 @@ const CONSTRAINTS: &[Flag] = &[
 ];
 
 /// The solver choice; `--threads`/`--restarts` imply the default
-/// portfolio (see [`Args::solvers`]).
+/// portfolio, and `--solver` cannot be combined with a portfolio (see
+/// [`SolverChoice::new`]).
 const SOLVERS: &[Flag] = &[
     SOLVER,
     THREADS,
@@ -657,28 +659,27 @@ impl<'a> Args<'a> {
     }
 
     fn solver(&self) -> Result<String, CliError> {
-        let name = self.last("--solver").unwrap_or("tabu");
-        let solver = mube_opt::solver_by_name(name, mube_opt::DEFAULT_MAX_EVALUATIONS)
-            .ok_or_else(|| bad(format!("unknown solver `{name}`")))?;
-        Ok(solver.name().to_string())
+        Ok(SolverChoice::new(self.last("--solver"), None, None, 1)
+            .map_err(bad)?
+            .solver)
     }
 
-    /// The [`SOLVERS`] group: `(solver, threads, portfolio, restarts)`.
+    /// The [`SOLVERS`] group as [`SolverChoice::new`] decides it:
+    /// `(solver, threads, portfolio, restarts)`.
     fn solvers(&self) -> Result<(String, usize, Option<String>, usize), CliError> {
-        let solver = self.solver()?;
-        let threads: Option<usize> = self.opt("--threads")?;
-        let restarts = self.get("--restarts", 1)?;
-        let mut portfolio = self.text("--portfolio");
-        if let Some(spec) = &portfolio {
-            mube_opt::parse_portfolio_spec(spec).map_err(bad)?;
-        }
-        // Even `--threads 1` engages the portfolio, so thread counts can
-        // be compared on otherwise identical runs; it gets the full member
-        // mix so the threads have work to spread.
-        if portfolio.is_none() && (threads.is_some() || restarts > 1) {
-            portfolio = Some("tabu,sls,anneal,pso".to_string());
-        }
-        Ok((solver, threads.unwrap_or(1), portfolio, restarts))
+        let choice = SolverChoice::new(
+            self.last("--solver"),
+            self.last("--portfolio"),
+            self.opt("--threads")?,
+            self.get("--restarts", 1)?,
+        )
+        .map_err(bad)?;
+        Ok((
+            choice.solver,
+            choice.threads,
+            choice.portfolio,
+            choice.restarts,
+        ))
     }
 
     fn weights(&self) -> Result<Vec<(String, f64)>, CliError> {
@@ -1241,6 +1242,23 @@ mod tests {
         assert!(p(&["solve", "a.cat", "--weight", "coverage"]).is_err());
         assert!(p(&["solve", "a.cat", "--max", "many"]).is_err());
         assert!(p(&["frobnicate"]).is_err());
+    }
+
+    #[test]
+    fn a_named_solver_is_refused_alongside_a_portfolio() {
+        for cmd in [&["solve", "a.cat"][..], &["scale-solve"]] {
+            for extra in [
+                &["--threads", "4"][..],
+                &["--restarts", "2"],
+                &["--portfolio", "tabu,sls"],
+            ] {
+                let argv = [cmd, &["--solver", "sls"], extra].concat();
+                assert!(
+                    matches!(p(&argv), Err(CliError::Usage(_))),
+                    "{argv:?} was accepted"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,12 +11,12 @@ use mube_core::constraints::Constraints;
 use mube_core::diag::{DiagCode, Diagnostic};
 use mube_core::matchop::{MatchOperator, MatchOutcome};
 use mube_core::problem::Problem;
-use mube_core::qefs::{data_only_qefs, paper_default_qefs};
+use mube_core::qefs::{default_qefs, paper_default_qefs};
 use mube_core::source::Universe;
-use mube_core::{explain, MubeError, SourceId, WeightedQefs};
+use mube_core::{explain, MubeError, SourceId};
 use mube_match::similarity::JaccardNGram;
 use mube_match::ClusterMatcher;
-use mube_opt::{CancelToken, Portfolio, Start, SubsetSolver};
+use mube_opt::{CancelToken, SolverChoice, Start, DEFAULT_MAX_EVALUATIONS};
 use mube_synth::{generate, DomainKind, SynthConfig};
 
 use crate::args::Command;
@@ -185,7 +185,14 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 JaccardNGram::trigram(),
             ));
             let problem = Problem::new(Arc::clone(&universe), matcher, qefs, constraints)?;
-            let solver = build_solver(&solver, portfolio.as_deref(), restarts, threads)?;
+            let solver = SolverChoice {
+                solver,
+                portfolio,
+                restarts,
+                threads,
+            }
+            .build(DEFAULT_MAX_EVALUATIONS)
+            .map_err(CliError::Usage)?;
             let cancel = match time_budget_ms {
                 Some(ms) => CancelToken::after(std::time::Duration::from_millis(ms)),
                 None => CancelToken::none(),
@@ -315,7 +322,14 @@ pub fn run(command: Command) -> Result<String, CliError> {
             // portfolio's --threads safely accelerates the sketches too.
             opts.lsh_threads = threads;
 
-            let solver = build_solver(&solver, portfolio.as_deref(), restarts, threads)?;
+            let solver = SolverChoice {
+                solver,
+                portfolio,
+                restarts,
+                threads,
+            }
+            .build(DEFAULT_MAX_EVALUATIONS)
+            .map_err(CliError::Usage)?;
             let cancel = match budget_ms {
                 Some(ms) => CancelToken::after(std::time::Duration::from_millis(ms)),
                 None => CancelToken::none(),
@@ -611,7 +625,10 @@ fn exec_command(
             JaccardNGram::trigram(),
         ));
         let problem = Problem::new(Arc::clone(universe), matcher, qefs, constraints)?;
-        Ok(problem.solve(build_solver(solver, None, 1, 1)?.as_ref(), seed)?)
+        let solver = SolverChoice::new(Some(solver), None, None, 1)
+            .and_then(|choice| choice.build(DEFAULT_MAX_EVALUATIONS))
+            .map_err(CliError::Usage)?;
+        Ok(problem.solve(solver.as_ref(), seed)?)
     };
     let solution = solve(&universe, "mttf")?;
 
@@ -785,40 +802,6 @@ fn resolve_sources(universe: &Universe, names: &[String]) -> Result<BTreeSet<Sou
                 })
         })
         .collect()
-}
-
-/// The portfolio when `portfolio` is given (`--threads`/`--restarts` imply
-/// one), else the single named solver.
-fn build_solver(
-    solver: &str,
-    portfolio: Option<&str>,
-    restarts: usize,
-    threads: usize,
-) -> Result<Box<dyn SubsetSolver>, CliError> {
-    // Names were validated at parse time, but re-check so programmatic
-    // callers get a clean error, not a panic.
-    match portfolio {
-        Some(spec) => Ok(Box::new(
-            Portfolio::from_spec(spec, restarts)
-                .map_err(CliError::Usage)?
-                .threads(threads),
-        )),
-        None => mube_opt::solver_by_name(solver, mube_opt::DEFAULT_MAX_EVALUATIONS)
-            .ok_or_else(|| CliError::Usage(format!("unknown solver `{solver}`"))),
-    }
-}
-
-/// The characteristic-aware QEF mix when sources carry an MTTF, else the
-/// data-only mix.
-fn default_qefs(universe: &Universe) -> WeightedQefs {
-    if universe
-        .sources()
-        .any(|s| s.characteristic("mttf").is_some())
-    {
-        paper_default_qefs("mttf")
-    } else {
-        data_only_qefs()
-    }
 }
 
 #[cfg(test)]

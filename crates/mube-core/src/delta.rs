@@ -7,7 +7,7 @@
 //! cooperating sources, and (via memoization) the matcher run itself.
 //!
 //! [`DeltaEval`] maintains that state *across* moves, keyed by the QEF's
-//! declared [`DeltaClass`](crate::qef::DeltaClass):
+//! declared [`DeltaClass`]:
 //!
 //! * **F2 (cardinality)** — an exact running `u64` tuple-count sum;
 //! * **F3 (coverage)** / **F4 (redundancy)** — a running PCSA union of the

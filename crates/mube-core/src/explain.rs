@@ -83,11 +83,6 @@ pub fn explain(problem: &Problem, solution: &Solution) -> Explanation {
 }
 
 impl Explanation {
-    /// The contribution entry for one source, if it was in the solution.
-    pub fn for_source(&self, source: SourceId) -> Option<&SourceContribution> {
-        self.contributions.iter().find(|c| c.source == source)
-    }
-
     /// Sources whose removal would *improve* quality — candidates for the
     /// user to investigate (usually held in place by a constraint or by a
     /// QEF the user may want to down-weight).
@@ -197,13 +192,18 @@ mod tests {
         }
     }
 
+    fn of_source(ex: &Explanation, source: u32) -> &SourceContribution {
+        let mut entries = ex.contributions.iter();
+        entries.find(|c| c.source == SourceId(source)).unwrap()
+    }
+
     #[test]
     fn bigger_sources_contribute_more_cardinality() {
         let p = problem();
         let sol = solution_of(&p, &[0, 1]);
         let ex = explain(&p, &sol);
-        let big = ex.for_source(SourceId(0)).unwrap();
-        let small = ex.for_source(SourceId(1)).unwrap();
+        let big = of_source(&ex, 0);
+        let small = of_source(&ex, 1);
         assert!(big.quality_delta > small.quality_delta);
         // Sorted most-valuable first.
         assert_eq!(ex.contributions[0].source, SourceId(0));
@@ -225,8 +225,8 @@ mod tests {
         .unwrap();
         let sol = solution_of(&p, &[0, 1]);
         let ex = explain(&p, &sol);
-        assert!(ex.for_source(SourceId(1)).unwrap().removal_infeasible);
-        assert!(!ex.for_source(SourceId(0)).unwrap().removal_infeasible);
+        assert!(of_source(&ex, 1).removal_infeasible);
+        assert!(!of_source(&ex, 0).removal_infeasible);
     }
 
     #[test]

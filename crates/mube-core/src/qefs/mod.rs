@@ -21,6 +21,7 @@ pub use redundancy::RedundancyQef;
 use std::sync::Arc;
 
 use crate::qef::{Qef, WeightedQefs};
+use crate::source::Universe;
 
 /// The paper's default QEF mix (§7.1): matching 0.25, cardinality 0.25,
 /// coverage 0.2, redundancy 0.15, and a `wsum`-aggregated characteristic
@@ -54,6 +55,20 @@ pub fn data_only_qefs() -> WeightedQefs {
         (Arc::new(RedundancyQef) as Arc<dyn Qef>, 0.15),
     ])
     .expect("default weights are valid")
+}
+
+/// The mix a problem gets unless the caller picks one: the paper's
+/// default with an MTTF QEF when some source reports an `mttf`
+/// characteristic, the data-only mix otherwise.
+pub fn default_qefs(universe: &Universe) -> WeightedQefs {
+    if universe
+        .sources()
+        .any(|s| s.characteristic("mttf").is_some())
+    {
+        paper_default_qefs("mttf")
+    } else {
+        data_only_qefs()
+    }
 }
 
 #[cfg(test)]

@@ -28,14 +28,7 @@ pub struct SimilarityCache {
     distinct: usize,
     /// Dense row-major `distinct × distinct` similarity matrix.
     matrix: Vec<f32>,
-    /// Name of the measure used, for reports.
-    measure_name: String,
 }
-
-/// Below this many distinct names the matrix is so small that thread
-/// spawn overhead dominates; [`SimilarityCache::build_parallel`] falls
-/// back to the serial fill.
-const PARALLEL_BUILD_MIN_NAMES: usize = 64;
 
 impl SimilarityCache {
     /// Computes the cache for a universe under a similarity measure.
@@ -46,19 +39,6 @@ impl SimilarityCache {
     /// solver threads (it is `Send + Sync`; the portfolio solver and the
     /// server's catalog store rely on this).
     pub fn build(universe: &Universe, measure: &dyn Similarity) -> Self {
-        Self::build_with_threads(universe, measure, 1)
-    }
-
-    /// Like [`SimilarityCache::build`], filling the similarity matrix with
-    /// up to `threads` OS threads. The result is byte-identical to the
-    /// serial build: each upper-triangle cell is computed by exactly one
-    /// thread and mirrored afterwards, exactly as the serial fill defines
-    /// `sim(j,i) := sim(i,j)`.
-    pub fn build_parallel(universe: &Universe, measure: &dyn Similarity, threads: usize) -> Self {
-        Self::build_with_threads(universe, measure, threads.max(1))
-    }
-
-    fn build_with_threads(universe: &Universe, measure: &dyn Similarity, threads: usize) -> Self {
         let mut intern: HashMap<&str, u32> = HashMap::new();
         let mut names: Vec<&str> = Vec::new();
         let mut name_ids: Vec<Vec<u32>> = Vec::with_capacity(universe.len());
@@ -77,60 +57,24 @@ impl SimilarityCache {
         }
         let distinct = names.len();
         let mut matrix = vec![0.0f32; distinct * distinct];
-        if threads <= 1 || distinct < PARALLEL_BUILD_MIN_NAMES {
-            for i in 0..distinct {
-                matrix[i * distinct + i] = 1.0;
-                for j in (i + 1)..distinct {
-                    let s = measure.similarity(names[i], names[j]) as f32;
-                    matrix[i * distinct + j] = s;
-                    matrix[j * distinct + i] = s;
-                }
-            }
-        } else {
-            // Split the matrix into contiguous row bands, one scoped thread
-            // per band, each filling its rows' diagonal-and-above cells in
-            // place — bands are disjoint `&mut` slices, so no cell is ever
-            // written twice.
-            let rows_per_band = distinct.div_ceil(threads);
-            let names = &names;
-            std::thread::scope(|scope| {
-                for (band_idx, band) in matrix.chunks_mut(rows_per_band * distinct).enumerate() {
-                    let first_row = band_idx * rows_per_band;
-                    scope.spawn(move || {
-                        for (r, row) in band.chunks_mut(distinct).enumerate() {
-                            let i = first_row + r;
-                            row[i] = 1.0;
-                            for (j, cell) in row.iter_mut().enumerate().skip(i + 1) {
-                                *cell = measure.similarity(names[i], names[j]) as f32;
-                            }
-                        }
-                    });
-                }
-            });
-            // Mirror the upper triangle below the diagonal; symmetry is the
-            // cache's contract, not necessarily the measure's.
-            for i in 0..distinct {
-                for j in (i + 1)..distinct {
-                    matrix[j * distinct + i] = matrix[i * distinct + j];
-                }
+        for i in 0..distinct {
+            matrix[i * distinct + i] = 1.0;
+            for j in (i + 1)..distinct {
+                let s = measure.similarity(names[i], names[j]) as f32;
+                matrix[i * distinct + j] = s;
+                matrix[j * distinct + i] = s;
             }
         }
         SimilarityCache {
             name_ids,
             distinct,
             matrix,
-            measure_name: measure.name().to_string(),
         }
     }
 
     /// Number of distinct attribute names interned.
     pub fn distinct_names(&self) -> usize {
         self.distinct
-    }
-
-    /// The measure this cache was built with.
-    pub fn measure_name(&self) -> &str {
-        &self.measure_name
     }
 
     /// Interned name id of an attribute.
@@ -277,7 +221,6 @@ mod tests {
         let u = universe();
         let cache = SimilarityCache::build(&u, &JaccardNGram::trigram());
         assert_eq!(cache.matrix_bytes(), 4 * 4 * 4);
-        assert_eq!(cache.measure_name(), "jaccard3");
     }
 
     #[test]
@@ -304,7 +247,7 @@ mod tests {
         assert_eq!(theta_upper_bound(&u, &JaccardNGram::trigram()), 0.0);
     }
 
-    /// A universe wide enough to exceed the parallel-build threshold.
+    /// A universe of many distinct names.
     fn wide_universe() -> Universe {
         let mut b = Universe::builder();
         for s in 0..10u32 {
@@ -312,28 +255,6 @@ mod tests {
             b.add_source(SourceSpec::new(format!("src{s}"), Schema::new(attrs)));
         }
         b.build().unwrap()
-    }
-
-    #[test]
-    fn parallel_build_is_bitwise_identical_to_serial() {
-        let u = wide_universe();
-        let measure = JaccardNGram::trigram();
-        let serial = SimilarityCache::build(&u, &measure);
-        assert!(serial.distinct_names() >= super::PARALLEL_BUILD_MIN_NAMES);
-        for threads in [2, 3, 8] {
-            let parallel = SimilarityCache::build_parallel(&u, &measure, threads);
-            assert_eq!(parallel.distinct_names(), serial.distinct_names());
-            let d = serial.distinct_names() as u32;
-            for i in 0..d {
-                for j in 0..d {
-                    assert_eq!(
-                        parallel.sim_by_name_id(i, j).to_bits(),
-                        serial.sim_by_name_id(i, j).to_bits(),
-                        "cell ({i},{j}) diverged at {threads} threads"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! [`Start::Warm`] from a previous selection, or [`Start::Within`] a trust
 //! region around it. The [`CancelToken`] bounds the run (see [`cancel`]).
 //! [`SubsetSolver::solve`] is the cold run with no deadline.
-//! [`solver_by_name`] builds any of the four solvers from its name.
+//! [`solver_by_name`] builds any of the four solvers from its name, and
+//! [`SolverChoice`] decides between one solver and a [`Portfolio`] for
+//! every front end.
 //!
 //! The crate is deliberately independent of the `µBE` data model: anything
 //! implementing [`SubsetObjective`] can be solved, which is also how the
@@ -55,6 +57,7 @@ pub use cancel::{CancelClock, CancelToken, ManualClock, MonotonicClock};
 pub use hierarchy::{solve_two_level, RestrictedObjective, TwoLevelResult};
 pub use portfolio::{
     member_panics_total, parse_portfolio_spec, solver_by_name, MemberRun, Portfolio, PortfolioRun,
+    SolverChoice, DEFAULT_PORTFOLIO,
 };
 pub use problem::{SolveResult, Start, SubsetObjective, SubsetSolver, DEFAULT_MAX_EVALUATIONS};
 pub use pso::ParticleSwarm;

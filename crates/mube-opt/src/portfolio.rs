@@ -153,6 +153,80 @@ pub fn parse_portfolio_spec(spec: &str) -> Result<Vec<String>, String> {
     Ok(names)
 }
 
+/// The member mix a portfolio runs when only a thread count or restarts
+/// ask for one.
+pub const DEFAULT_PORTFOLIO: &str = "tabu,sls,anneal,pso";
+
+/// How a solve runs: one named solver, or a portfolio. Every front end
+/// (the CLI's `solve`, `scale-solve` and `exec`, the server's
+/// `POST /sessions`) decides it with [`SolverChoice::new`] and builds it
+/// with [`SolverChoice::build`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SolverChoice {
+    /// The single solver's canonical name (`tabu` unless one was named).
+    pub solver: String,
+    /// The portfolio spec in force; `None` runs the single solver.
+    pub portfolio: Option<String>,
+    /// Copies of each portfolio member.
+    pub restarts: usize,
+    /// OS threads a portfolio spreads its members over.
+    pub threads: usize,
+}
+
+impl SolverChoice {
+    /// The rule: a `portfolio` spec runs that portfolio, and `threads` or
+    /// `restarts > 1` alone run [`DEFAULT_PORTFOLIO`] (even at one thread,
+    /// so thread counts compare on otherwise identical runs); otherwise the
+    /// single `solver` runs, `tabu` by default. A named `solver` together
+    /// with a portfolio is refused, as is an unknown name.
+    pub fn new(
+        solver: Option<&str>,
+        portfolio: Option<&str>,
+        threads: Option<usize>,
+        restarts: usize,
+    ) -> Result<SolverChoice, String> {
+        let portfolio =
+            portfolio.or((threads.is_some() || restarts > 1).then_some(DEFAULT_PORTFOLIO));
+        if let (Some(name), Some(_)) = (solver, portfolio) {
+            return Err(format!(
+                "solver `{name}` cannot be combined with a portfolio, threads or restarts"
+            ));
+        }
+        if let Some(spec) = portfolio {
+            parse_portfolio_spec(spec)?;
+        }
+        let name = solver.unwrap_or("tabu");
+        let single = solver_by_name(name, DEFAULT_MAX_EVALUATIONS).ok_or_else(|| {
+            format!("unknown solver `{name}` (expected tabu, sls, anneal, or pso)")
+        })?;
+        Ok(SolverChoice {
+            solver: single.name().to_string(),
+            portfolio: portfolio.map(str::to_string),
+            restarts,
+            threads: threads.unwrap_or(1),
+        })
+    }
+
+    /// The member runs one solve starts: portfolio members × restarts, or
+    /// 1 for a single solver.
+    pub fn runs(&self) -> usize {
+        self.portfolio.as_deref().map_or(1, |spec| {
+            parse_portfolio_spec(spec).map_or(0, |names| names.len() * self.restarts)
+        })
+    }
+
+    /// The solver itself, each member capped at `max_evaluations`.
+    pub fn build(&self, max_evaluations: u64) -> Result<Box<dyn SubsetSolver>, String> {
+        match &self.portfolio {
+            Some(spec) => Ok(Box::new(
+                Portfolio::from_spec(spec, self.restarts, max_evaluations)?.threads(self.threads),
+            )),
+            None => solver_by_name(&self.solver, max_evaluations)
+                .ok_or_else(|| format!("unknown solver `{}`", self.solver)),
+        }
+    }
+}
+
 impl Portfolio {
     /// Builds a portfolio over explicit members. The member list (order
     /// included) is part of the determinism contract.
@@ -171,17 +245,15 @@ impl Portfolio {
     }
 
     /// Builds a portfolio from a comma-separated spec, with each listed
-    /// member repeated `restarts` times (different seed streams per copy).
-    /// `restarts` is clamped to at least 1.
-    pub fn from_spec(spec: &str, restarts: usize) -> Result<Self, String> {
+    /// member repeated `restarts` times (different seed streams per copy)
+    /// and capped at `max_evaluations`. `restarts` is clamped to at least 1.
+    pub fn from_spec(spec: &str, restarts: usize, max_evaluations: u64) -> Result<Self, String> {
         let names = parse_portfolio_spec(spec)?;
         let mut members: Vec<Box<dyn SubsetSolver>> = Vec::new();
         for _ in 0..restarts.max(1) {
             for name in &names {
-                members.push(
-                    solver_by_name(name, DEFAULT_MAX_EVALUATIONS)
-                        .expect("spec names are canonical"),
-                );
+                members
+                    .push(solver_by_name(name, max_evaluations).expect("spec names are canonical"));
             }
         }
         Ok(Portfolio::new(members))
@@ -417,8 +489,35 @@ mod tests {
     }
 
     #[test]
+    fn solver_choice_rule() {
+        let choose = |solver, portfolio, threads, restarts| {
+            SolverChoice::new(solver, portfolio, threads, restarts)
+        };
+        let single = choose(Some("anneal"), None, None, 1).unwrap();
+        assert_eq!(single.solver, "annealing");
+        assert_eq!(single.portfolio, None);
+        assert_eq!(single.runs(), 1);
+        assert_eq!(single.build(50).unwrap().name(), "annealing");
+        // A thread count or restarts alone engage the default mix.
+        for (threads, restarts) in [(Some(1), 1), (None, 2)] {
+            let c = choose(None, None, threads, restarts).unwrap();
+            assert_eq!(c.portfolio.as_deref(), Some(DEFAULT_PORTFOLIO));
+            assert_eq!(c.runs(), 4 * restarts);
+        }
+        let c = choose(None, Some("tabu,sls"), Some(3), 2).unwrap();
+        assert_eq!((c.runs(), c.threads), (4, 3));
+        assert_eq!(c.build(50).unwrap().name(), "portfolio(tabu,sls,tabu,sls)");
+        // A named solver is never silently dropped for a portfolio.
+        assert!(choose(Some("sls"), None, Some(4), 1).is_err());
+        assert!(choose(Some("tabu"), None, None, 2).is_err());
+        assert!(choose(Some("tabu"), Some("sls"), None, 1).is_err());
+        assert!(choose(Some("genetic"), None, None, 1).is_err());
+        assert!(choose(None, Some("tabu,genetic"), None, 1).is_err());
+    }
+
+    #[test]
     fn from_spec_repeats_members() {
-        let p = Portfolio::from_spec("tabu,sls", 3).unwrap();
+        let p = Portfolio::from_spec("tabu,sls", 3, DEFAULT_MAX_EVALUATIONS).unwrap();
         assert_eq!(p.member_count(), 6);
         assert_eq!(p.name(), "portfolio(tabu,sls,tabu,sls,tabu,sls)");
     }
@@ -429,7 +528,7 @@ mod tests {
         let runs: Vec<PortfolioRun> = [1usize, 2, 4, 8]
             .iter()
             .map(|&t| {
-                Portfolio::from_spec("tabu,sls,anneal,pso", 2)
+                Portfolio::from_spec("tabu,sls,anneal,pso", 2, DEFAULT_MAX_EVALUATIONS)
                     .unwrap()
                     .threads(t)
                     .run(&obj, 7)
@@ -447,7 +546,9 @@ mod tests {
     #[test]
     fn winner_is_best_member_lowest_worker_on_ties() {
         let obj = toy();
-        let p = Portfolio::from_spec("tabu", 4).unwrap().threads(2);
+        let p = Portfolio::from_spec("tabu", 4, DEFAULT_MAX_EVALUATIONS)
+            .unwrap()
+            .threads(2);
         let run = p.run(&obj, 11);
         let best = run
             .members
@@ -466,7 +567,7 @@ mod tests {
     #[test]
     fn champion_trace_is_monotone() {
         let obj = toy();
-        let run = Portfolio::from_spec("tabu,sls,anneal,pso", 4)
+        let run = Portfolio::from_spec("tabu,sls,anneal,pso", 4, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(8)
             .run(&obj, 3);
@@ -485,7 +586,7 @@ mod tests {
     #[test]
     fn evaluations_aggregate_across_members() {
         let obj = toy();
-        let run = Portfolio::from_spec("tabu,sls", 1)
+        let run = Portfolio::from_spec("tabu,sls", 1, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(2)
             .run(&obj, 5);
@@ -497,19 +598,19 @@ mod tests {
     #[test]
     fn warm_start_passthrough_is_deterministic() {
         let obj = toy();
-        let p = Portfolio::from_spec("tabu,sls,anneal", 1)
+        let p = Portfolio::from_spec("tabu,sls,anneal", 1, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(3);
         let warm = vec![3, 5, 9];
         let none = CancelToken::none();
         let a = p.run_with(&obj, 13, Start::Warm(&warm), &none);
-        let b = Portfolio::from_spec("tabu,sls,anneal", 1)
+        let b = Portfolio::from_spec("tabu,sls,anneal", 1, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(1)
             .run_with(&obj, 13, Start::Warm(&warm), &none);
         assert_eq!(a.result, b.result);
         let c = p.run_with(&obj, 13, Start::Within(&warm, 2), &none);
-        let d = Portfolio::from_spec("tabu,sls,anneal", 1)
+        let d = Portfolio::from_spec("tabu,sls,anneal", 1, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(1)
             .run_with(&obj, 13, Start::Within(&warm, 2), &none);
@@ -557,7 +658,7 @@ mod tests {
             inner: toy(),
             views: AtomicUsize::new(0),
         };
-        Portfolio::from_spec("tabu,sls,anneal,pso", 1)
+        Portfolio::from_spec("tabu,sls,anneal,pso", 1, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(3)
             .run(&obj, 1);
@@ -636,7 +737,7 @@ mod tests {
         // Deadline already passed: every member gets exactly its guaranteed
         // first evaluation and must still produce a feasible incumbent.
         let token = CancelToken::with_deadline(clock, Duration::ZERO);
-        let p = Portfolio::from_spec("tabu,sls,anneal,pso", 1)
+        let p = Portfolio::from_spec("tabu,sls,anneal,pso", 1, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(2);
         let run = p.run_with(&obj, 17, Start::Cold, &token);
@@ -659,7 +760,9 @@ mod tests {
     #[test]
     fn uncancelled_token_matches_token_free_run() {
         let obj = toy();
-        let p = Portfolio::from_spec("tabu,sls", 2).unwrap().threads(2);
+        let p = Portfolio::from_spec("tabu,sls", 2, DEFAULT_MAX_EVALUATIONS)
+            .unwrap()
+            .threads(2);
         let with_token = p.run_with(&obj, 31, Start::Cold, &CancelToken::new());
         let without = p.run(&obj, 31);
         assert_eq!(with_token.result, without.result);

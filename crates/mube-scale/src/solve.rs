@@ -25,7 +25,7 @@ use std::sync::Arc;
 use mube_core::constraints::Constraints;
 use mube_core::error::MubeError;
 use mube_core::problem::{CandidateEval, Problem};
-use mube_core::qefs::{data_only_qefs, paper_default_qefs};
+use mube_core::qefs::default_qefs;
 use mube_core::solution::Solution;
 use mube_core::source::Universe;
 use mube_core::validate::SolutionValidator;
@@ -151,14 +151,9 @@ pub fn scale_solve(
     let reps = build_representatives(&records, &blocks);
     let coarse_u = Arc::new(cluster_universe(&reps)?);
 
-    let has_mttf = records
-        .iter()
-        .any(|r| r.characteristics.contains_key("mttf"));
-    let qefs = if has_mttf {
-        paper_default_qefs("mttf")
-    } else {
-        data_only_qefs()
-    };
+    // Cluster representatives carry their members' characteristics, so
+    // the coarse universe reports MTTF exactly when some record does.
+    let qefs = default_qefs(&coarse_u);
 
     // Stage 3 constraints: pinned sources force their clusters in.
     let coarse_m = opts.coarse_clusters.clamp(1, reps.len());

@@ -51,8 +51,8 @@ impl Request {
 pub enum HttpError {
     /// Protocol violation; the reason phrase to report.
     Malformed(&'static str),
-    /// Request line + headers exceeded [`MAX_HEAD_BYTES`] or
-    /// [`MAX_HEADERS`] (rendered as 431).
+    /// Request line + headers exceeded `MAX_HEAD_BYTES` or `MAX_HEADERS`
+    /// (rendered as 431).
     HeadTooLarge,
     /// Declared `Content-Length` exceeded the server's body cap.
     BodyTooLarge {

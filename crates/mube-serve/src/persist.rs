@@ -1,4 +1,5 @@
-//! Durable session journal: a crash-safe write-ahead log for the [`Store`].
+//! Durable session journal: a crash-safe write-ahead log for the
+//! [`Store`](crate::store::Store).
 //!
 //! `µBE`'s value is the *iterative* feedback loop — a session accumulates
 //! user guidance (pins, adopted GAs, reweights) over many solve rounds, and
@@ -12,10 +13,9 @@
 //!
 //! Two files live in the data directory:
 //!
-//! * `journal.wal` — the append-only tail. Each record is one
-//!   [`frame`](crate::frame) — `[len][crc][lsn][tag][body]` — whose `lsn`
-//!   is a monotonically increasing log sequence number shared by both
-//!   files.
+//! * `journal.wal` — the append-only tail. Each record is one [`frame`]
+//!   — `[len][crc][lsn][tag][body]` — whose `lsn` is a monotonically
+//!   increasing log sequence number shared by both files.
 //!
 //! * `snapshot.wal` — a compacted prefix of the log. Its first record is a
 //!   snapshot header (`tag 0`) carrying `through_lsn`; the rest are the

@@ -30,9 +30,6 @@ struct Shared {
     /// Behind its own `Arc` so observers (the server's `/metrics`) can
     /// keep reading it after the pool is consumed by shutdown.
     panics: Arc<AtomicU64>,
-    /// High-water mark of the queue depth (how close the server came to
-    /// shedding; admission control compares `queued()` to its threshold).
-    peak_queued: AtomicU64,
     /// Handles of respawned workers, joined at shutdown after the originals.
     replacements: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -53,7 +50,6 @@ impl WorkerPool {
             }),
             cv: Condvar::new(),
             panics: Arc::new(AtomicU64::new(0)),
-            peak_queued: AtomicU64::new(0),
             replacements: Mutex::new(Vec::new()),
         });
         let workers = (0..threads.max(1))
@@ -86,9 +82,7 @@ impl WorkerPool {
             return false;
         }
         state.jobs.push_back(Box::new(job));
-        let depth = state.jobs.len() as u64;
         drop(state);
-        self.shared.peak_queued.fetch_max(depth, Ordering::SeqCst);
         self.shared.cv.notify_one();
         true
     }
@@ -101,11 +95,6 @@ impl WorkerPool {
             .expect("pool lock poisoned")
             .jobs
             .len()
-    }
-
-    /// Deepest the queue has ever been (jobs waiting at once).
-    pub fn peak_queued(&self) -> u64 {
-        self.shared.peak_queued.load(Ordering::SeqCst)
     }
 
     /// Drains the queue and joins every worker. Jobs already enqueued run
@@ -243,8 +232,12 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs() {
-        // One slow worker, many queued jobs: shutdown must wait for all.
+        // One blocked worker, many queued jobs: shutdown must wait for all.
         let pool = WorkerPool::new(1);
+        let (release, blocked) = std::sync::mpsc::channel::<()>();
+        pool.execute(move || {
+            let _ = blocked.recv();
+        });
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..16 {
             let counter = Arc::clone(&counter);
@@ -253,9 +246,9 @@ mod tests {
                 counter.fetch_add(1, Ordering::SeqCst);
             });
         }
-        // The single worker can't keep up with a burst of 16, so the
-        // high-water mark must have registered a real backlog.
-        assert!(pool.peak_queued() >= 1, "peak {}", pool.peak_queued());
+        // The single worker is blocked, so all 16 are still waiting.
+        assert!(pool.queued() >= 16, "queued {}", pool.queued());
+        release.send(()).unwrap();
         pool.shutdown();
         assert_eq!(counter.load(Ordering::SeqCst), 16);
     }

@@ -13,6 +13,7 @@
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::num::NonZeroUsize;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -25,7 +26,7 @@ use mube_core::explain;
 use mube_core::jsonw::JsonBuf;
 use mube_core::matchop::MatchOperator;
 use mube_core::problem::Problem;
-use mube_core::qefs::{data_only_qefs, paper_default_qefs};
+use mube_core::qefs::default_qefs;
 use mube_core::session::Session;
 use mube_core::source::Universe;
 use mube_core::MubeError;
@@ -34,7 +35,7 @@ use mube_exec::{
     SpanBackend, VirtualClock,
 };
 use mube_match::{ClusterMatcher, JaccardNGram, SimilarityCache};
-use mube_opt::{CancelToken, Portfolio, SubsetSolver};
+use mube_opt::{CancelToken, SolverChoice};
 
 use crate::http::{self, HttpError, Request};
 use crate::json::Json;
@@ -63,9 +64,8 @@ pub struct ServeConfig {
     pub max_sessions: usize,
     /// Sessions untouched this long are eligible for eviction.
     pub idle_ttl: Duration,
-    /// Per-solve budget, mapped onto the solver's objective-evaluation
-    /// cutoff (tabu search honors it exactly; the other solvers keep
-    /// their own default caps, which are of the same order).
+    /// Per-solve budget: the objective-evaluation cap of every solver,
+    /// portfolio members included.
     pub max_solve_evaluations: u64,
     /// Watchdog wall-clock ceiling per solve, in milliseconds. Every solve
     /// is deadline-bounded by this; a request's `time_budget_ms` can only
@@ -238,7 +238,7 @@ impl ServerState {
         Err(ApiError::new(
             413,
             "record_too_large",
-            &format!(
+            format!(
                 "the write exceeds the journal's {}-byte record bound",
                 crate::frame::MAX_RECORD_BYTES
             ),
@@ -746,10 +746,10 @@ fn resolve<'p>(method: &str, path: &'p str) -> Result<(Handler, &'p str), ApiErr
         ApiError::new(
             405,
             "method_not_allowed",
-            &format!("{method} is not supported on {path}"),
+            format!("{method} is not supported on {path}"),
         )
     } else {
-        ApiError::new(404, "not_found", &format!("no route for {path}"))
+        ApiError::new(404, "not_found", format!("no route for {path}"))
     })
 }
 
@@ -764,25 +764,51 @@ fn endpoint_label(method: &str, path: &str) -> String {
     format!("{method} {norm}")
 }
 
-/// A handler failure already rendered as a response.
+/// A handler failure: status, stable code and message, plus the extra
+/// members of its error object. [`route`] renders it once.
 struct ApiError {
     status: u16,
-    body: String,
+    code: &'static str,
+    message: String,
+    /// The `MUBE0xx` codes that explain the failure.
+    lint: Option<Vec<&'static str>>,
+    /// The index of the feedback action that failed.
+    action: Option<usize>,
 }
 
 impl ApiError {
-    fn new(status: u16, code: &str, message: &str) -> ApiError {
+    fn new(status: u16, code: &'static str, message: impl Into<String>) -> ApiError {
         ApiError {
             status,
-            body: error_body(code, message, |_| {}),
+            code,
+            message: message.into(),
+            lint: None,
+            action: None,
         }
+    }
+
+    /// The response body: the error object with `lint` and `action` when
+    /// set.
+    fn body(&self) -> String {
+        error_body(self.code, &self.message, |j| {
+            if let Some(codes) = &self.lint {
+                j.key("lint").begin_arr();
+                for code in codes {
+                    j.str_value(code);
+                }
+                j.end_arr();
+            }
+            if let Some(i) = self.action {
+                j.key("action").uint_value(i as u64);
+            }
+        })
     }
 }
 
 impl From<MubeError> for ApiError {
     fn from(e: MubeError) -> Self {
         let (status, code) = engine_code(&e);
-        ApiError::new(status, code, &e.to_string())
+        ApiError::new(status, code, e.to_string())
     }
 }
 
@@ -820,25 +846,16 @@ fn engine_code(e: &MubeError) -> (u16, &'static str) {
 /// explain it, so the response carries the same codes `mube lint` would.
 fn conflict_error(e: &MubeError, universe: &Universe, constraints: &Constraints) -> ApiError {
     let (status, code) = engine_code(e);
-    if !matches!(e, MubeError::ConstraintConflict { .. }) {
-        return ApiError::new(status, code, &e.to_string());
+    let mut err = ApiError::new(status, code, e.to_string());
+    if matches!(e, MubeError::ConstraintConflict { .. }) {
+        let measure = JaccardNGram::trigram();
+        let report = Analyzer::new(universe)
+            .constraints(constraints)
+            .similarity(&measure)
+            .run();
+        err.lint = Some(report.errors().map(|d| d.code.code()).collect());
     }
-    let measure = JaccardNGram::trigram();
-    let report = Analyzer::new(universe)
-        .constraints(constraints)
-        .similarity(&measure)
-        .run();
-    let codes: Vec<String> = report.errors().map(|d| d.code.to_string()).collect();
-    ApiError {
-        status,
-        body: error_body(code, &e.to_string(), |j| {
-            j.key("lint").begin_arr();
-            for c in &codes {
-                j.str_value(c);
-            }
-            j.end_arr();
-        }),
-    }
+    err
 }
 
 fn route(state: &Arc<ServerState>, req: &Request) -> (u16, String) {
@@ -890,7 +907,7 @@ fn route(state: &Arc<ServerState>, req: &Request) -> (u16, String) {
     let result = resolve(&req.method, &req.path).and_then(|(handler, id)| handler(state, req, id));
     let (status, body) = match result {
         Ok(ok) => ok,
-        Err(e) => (e.status, e.body),
+        Err(e) => (e.status, e.body()),
     };
     // Semi-sync replication: a mutating request only succeeds once a
     // follower has durably applied its journal event. On timeout the
@@ -919,8 +936,134 @@ fn parse_body(req: &Request) -> Result<Json, ApiError> {
     }
     let text = req
         .body_utf8()
-        .map_err(|e| ApiError::new(400, "bad_request", &e.to_string()))?;
-    Json::parse(text).map_err(|e| ApiError::new(400, "bad_json", &e.to_string()))
+        .map_err(|e| ApiError::new(400, "bad_request", e.to_string()))?;
+    Json::parse(text).map_err(|e| ApiError::new(400, "bad_json", e.to_string()))
+}
+
+// ---------------------------------------------------------------------
+// Request decoding
+// ---------------------------------------------------------------------
+
+/// A JSON type a request field can hold. `EXPECTED` ends the message of
+/// the 400 for a field that does not hold one: "… must be {EXPECTED}".
+trait FieldType<'a>: Sized {
+    const EXPECTED: &'static str;
+    fn read(value: &'a Json) -> Option<Self>;
+}
+
+/// Implements [`FieldType`]: `type: "expected" => reader;`.
+macro_rules! field_types {
+    ($($t:ty: $expected:literal => $read:expr;)*) => {$(
+        impl<'a> FieldType<'a> for $t {
+            const EXPECTED: &'static str = $expected;
+            fn read(value: &'a Json) -> Option<Self> {
+                $read(value)
+            }
+        }
+    )*};
+}
+
+field_types! {
+    u64: "a non-negative integer" => Json::as_u64;
+    usize: "a non-negative integer" => Json::as_usize;
+    NonZeroUsize: "a positive integer" => |v: &Json| v.as_usize().and_then(NonZeroUsize::new);
+    f64: "a number" => Json::as_f64;
+    bool: "a boolean" => Json::as_bool;
+    &'a str: "a string" => Json::as_str;
+    &'a [Json]: "an array" => Json::as_array;
+    &'a [(String, Json)]: "an object" => Json::as_object;
+}
+
+/// The fields of one JSON object in a request, read by type. A required
+/// field that is missing, or any field of the wrong JSON type, is a 400
+/// `bad_request` whose message names it: `` `seed` ``, `` `prune.top_k` ``,
+/// `` `pin` action field `source` ``.
+struct Fields<'a> {
+    members: &'a [(String, Json)],
+    /// What a field's name starts with: the opening backtick and the path
+    /// of the enclosing object.
+    prefix: String,
+}
+
+impl<'a> Fields<'a> {
+    /// The top-level fields of a request body.
+    fn body(body: &'a Json) -> Result<Fields<'a>, ApiError> {
+        let members = body.as_object().ok_or_else(|| {
+            ApiError::new(400, "bad_request", "the request body must be an object")
+        })?;
+        Ok(Fields {
+            members,
+            prefix: "`".to_string(),
+        })
+    }
+
+    /// The fields of a nested object whose own name is `name`.
+    fn nested(&self, name: &str, members: &'a [(String, Json)]) -> Fields<'a> {
+        Fields {
+            members,
+            prefix: format!("{}{name}.", self.prefix),
+        }
+    }
+
+    /// `value`, the value of the field `key`, as a `T`.
+    fn read<T: FieldType<'a>>(&self, key: &str, value: &'a Json) -> Result<T, ApiError> {
+        T::read(value).ok_or_else(|| {
+            let message = format!("{}{key}` must be {}", self.prefix, T::EXPECTED);
+            ApiError::new(400, "bad_request", message)
+        })
+    }
+
+    /// An optional field (the last of duplicate keys wins).
+    fn opt<T: FieldType<'a>>(&self, key: &str) -> Result<Option<T>, ApiError> {
+        let value = self.members.iter().rev().find(|(k, _)| k == key);
+        value.map(|(_, v)| self.read(key, v)).transpose()
+    }
+
+    /// A required field.
+    fn req<T: FieldType<'a>>(&self, key: &str) -> Result<T, ApiError> {
+        let value = self.opt(key)?;
+        value.map_or_else(|| self.read(key, &Json::Null), Ok)
+    }
+
+    /// An optional array whose every entry is a `T`.
+    fn list<T: FieldType<'a>>(&self, key: &str) -> Result<Option<Vec<T>>, ApiError> {
+        let Some(items) = self.opt::<&[Json]>(key)? else {
+            return Ok(None);
+        };
+        let entries = items.iter().enumerate();
+        let list = entries.map(|(i, item)| self.read(&format!("{key}[{i}]"), item));
+        list.collect::<Result<_, _>>().map(Some)
+    }
+
+    /// An optional object.
+    fn object(&self, key: &str) -> Result<Option<Fields<'a>>, ApiError> {
+        Ok(self.opt(key)?.map(|members| self.nested(key, members)))
+    }
+
+    /// A required array of objects.
+    fn objects(&self, key: &str) -> Result<Vec<Fields<'a>>, ApiError> {
+        let items = self.req::<&[Json]>(key)?;
+        let entries = items.iter().enumerate().map(|(i, item)| {
+            let name = format!("{key}[{i}]");
+            Ok(self.nested(&name, self.read(&name, item)?))
+        });
+        entries.collect()
+    }
+}
+
+/// Moves the required string field `key` out of a request body: the text
+/// of a catalog upload is the largest field a request carries, and it is
+/// never copied.
+fn take_string(body: Json, key: &str) -> Result<String, ApiError> {
+    Fields::body(&body)?.req::<&str>(key)?;
+    let Json::Obj(members) = body else {
+        unreachable!("`Fields::body` accepts only objects")
+    };
+    let text = members.into_iter().rev().find_map(|(k, v)| match v {
+        Json::Str(text) if k == key => Some(text),
+        _ => None,
+    });
+    Ok(text.expect("checked above"))
 }
 
 fn with_session(
@@ -932,7 +1075,7 @@ fn with_session(
         .parse::<u64>()
         .ok()
         .and_then(|id| state.store.session(id))
-        .ok_or_else(|| ApiError::new(404, "unknown_session", &format!("no session `{id}`")))?;
+        .ok_or_else(|| ApiError::new(404, "unknown_session", format!("no session `{id}`")))?;
     entry.touch();
     f(&entry)
 }
@@ -1054,7 +1197,7 @@ fn admin_resync(state: &Arc<ServerState>) -> Result<(u16, String), ApiError> {
         Err(repl::ResyncError::Io(e)) => Err(ApiError::new(
             500,
             "resync_failed",
-            &format!("resync aborted: {e}"),
+            format!("resync aborted: {e}"),
         )),
     }
 }
@@ -1064,24 +1207,18 @@ fn metrics(state: &ServerState) -> (u16, String) {
 }
 
 fn create_catalog(state: &ServerState, req: &Request) -> Result<(u16, String), ApiError> {
-    let body = parse_body(req)?;
-    let text = body
-        .get("catalog")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ApiError::new(400, "bad_request", "missing string field `catalog`"))?;
-    let mut event = Event::CatalogCreate {
-        id: 0,
-        text: text.to_string(),
-    };
+    let text = take_string(parse_body(req)?, "catalog")?;
+    let mut event = Event::CatalogCreate { id: 0, text };
     state.check_journalable(&event)?;
+    let Event::CatalogCreate { id: slot, text } = &mut event else {
+        unreachable!("built above")
+    };
     let universe = Arc::new(catalog::from_text(text)?);
     let cache = Arc::new(SimilarityCache::build(&universe, &JaccardNGram::trigram()));
     let distinct = cache.distinct_names();
     let id = state.store.insert_catalog(Arc::clone(&universe), cache);
+    *slot = id;
     state.metrics.catalog_created();
-    if let Event::CatalogCreate { id: slot, .. } = &mut event {
-        *slot = id;
-    }
     state.journal_append(event);
     let mut j = JsonBuf::new();
     j.begin_obj();
@@ -1107,17 +1244,16 @@ const MAX_PORTFOLIO_MEMBERS: usize = 256;
 /// the stable `MUBE015` lint code.
 fn bound_error(field: &str, value: usize, max: usize) -> ApiError {
     ApiError {
-        status: 422,
-        body: error_body(
-            "invalid_parameter",
-            &format!("`{field}` = {value} exceeds the server bound of {max}"),
-            |j| {
-                j.key("lint").begin_arr();
-                j.str_value(mube_core::DiagCode::ResourceBoundExceeded.code());
-                j.end_arr();
-            },
-        ),
+        lint: Some(vec![mube_core::DiagCode::ResourceBoundExceeded.code()]),
+        ..invalid_parameter(format!(
+            "`{field}` = {value} exceeds the server bound of {max}"
+        ))
     }
+}
+
+/// 422 `invalid_parameter`: a well-typed value the engine cannot use.
+fn invalid_parameter(message: impl Into<String>) -> ApiError {
+    ApiError::new(422, "invalid_parameter", message)
 }
 
 /// Everything `POST /sessions` builds before touching the store.
@@ -1148,71 +1284,23 @@ struct PruneStats {
 /// the reduced universe the session's problem is built over.
 fn prune_universe(
     universe: &Universe,
-    spec: &Json,
-    pins: Option<&Json>,
+    spec: &Fields,
+    pins: &[&str],
 ) -> Result<(Universe, PruneStats), ApiError> {
     use mube_scale::{block, top_k, LshConfig, RelevanceQuery, ScoringTable, UniverseStream};
 
-    if spec.as_object().is_none() {
-        return Err(ApiError::new(
-            400,
-            "bad_request",
-            "`prune` must be an object",
-        ));
-    }
-    let k = match spec.get("top_k") {
-        Some(v) => v.as_usize().filter(|&n| n >= 1).ok_or_else(|| {
-            ApiError::new(
-                400,
-                "bad_request",
-                "`prune.top_k` must be a positive integer",
-            )
-        })?,
-        None => 1_500,
-    };
-    let keywords = match spec.get("keywords") {
-        Some(v) => {
-            let arr = v.as_array().ok_or_else(|| {
-                ApiError::new(400, "bad_request", "`prune.keywords` must be an array")
-            })?;
-            let mut out = Vec::new();
-            for w in arr {
-                out.push(
-                    w.as_str()
-                        .ok_or_else(|| {
-                            ApiError::new(
-                                400,
-                                "bad_request",
-                                "`prune.keywords` entries must be strings",
-                            )
-                        })?
-                        .to_string(),
-                );
-            }
-            out
-        }
-        None => Vec::new(),
-    };
-    let dedup = match spec.get("dedup") {
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| ApiError::new(400, "bad_request", "`prune.dedup` must be a boolean"))?,
-        None => false,
-    };
+    let k = spec
+        .opt::<NonZeroUsize>("top_k")?
+        .map_or(1_500, NonZeroUsize::get);
+    let keywords = spec.list::<&str>("keywords")?.unwrap_or_default();
+    let dedup = spec.opt("dedup")?.unwrap_or(false);
     // Pinned names are force-kept; unknown names surface as 422s when the
     // pins resolve against the pruned universe below.
-    let pin_names: Vec<String> = pins
-        .and_then(Json::as_array)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(|p| p.as_str().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default();
+    let pin_names: Vec<String> = pins.iter().map(ToString::to_string).collect();
 
     let stream = UniverseStream::new(universe);
     let query = RelevanceQuery {
-        keywords,
+        keywords: keywords.into_iter().map(str::to_string).collect(),
         prefer_characteristics: vec!["mttf".to_string()],
     };
     let survivors = top_k(&stream, &query, &ScoringTable::default(), k, &pin_names);
@@ -1252,13 +1340,9 @@ fn prune_universe(
     for &p in &kept {
         builder.add_source(records[p].clone().into_spec());
     }
-    let pruned = builder.build().map_err(|e| {
-        ApiError::new(
-            422,
-            "invalid_parameter",
-            &format!("pruning left no usable catalog: {e}"),
-        )
-    })?;
+    let pruned = builder
+        .build()
+        .map_err(|e| invalid_parameter(format!("pruning left no usable catalog: {e}")))?;
     Ok((pruned, stats))
 }
 
@@ -1270,101 +1354,62 @@ fn build_session_from_body(
     max_solve_evaluations: u64,
     body: &Json,
 ) -> Result<BuiltSession, ApiError> {
-    let catalog_id = body
-        .get("catalog")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ApiError::new(400, "bad_request", "missing integer field `catalog`"))?;
-    let entry = store.catalog(catalog_id).ok_or_else(|| {
-        ApiError::new(
-            404,
-            "unknown_catalog",
-            &format!("no catalog `{catalog_id}`"),
-        )
-    })?;
-    let universe = Arc::clone(&entry.universe);
+    // Every field is decoded before any work is done.
+    let f = Fields::body(body)?;
+    let catalog_id = f.req("catalog")?;
+    let pins = f.list::<&str>("pins")?.unwrap_or_default();
+    let prune = f.object("prune")?;
+    let max_sources = f.opt("max_sources")?;
+    let theta = f.opt("theta")?;
+    let beta = f.opt("beta")?;
+    let mut weights = Vec::new();
+    if let Some(w) = f.object("weights")? {
+        for (name, v) in w.members {
+            weights.push((name, w.read::<f64>(name, v)?));
+        }
+    }
+    let seed = f.opt("seed")?.unwrap_or(0);
+    let continuity = f.opt("continuity")?.unwrap_or(false);
+    let solver = solver_choice(&f)?;
 
+    let entry = store.catalog(catalog_id).ok_or_else(|| {
+        ApiError::new(404, "unknown_catalog", format!("no catalog `{catalog_id}`"))
+    })?;
     // Optional pruning front end (see PROTOCOL.md `prune`): reduce the
     // catalog to a relevant, deduplicated candidate set before the problem
     // is built. Runs inside this shared builder, so journal replay
     // re-prunes deterministically from the recorded request body.
-    let mut pruned_stats: Option<PruneStats> = None;
-    let universe = match body.get("prune") {
+    let (universe, pruned) = match &prune {
         Some(spec) => {
-            let (pruned, stats) = prune_universe(&universe, spec, body.get("pins"))?;
-            pruned_stats = Some(stats);
-            Arc::new(pruned)
+            let (pruned, stats) = prune_universe(&entry.universe, spec, &pins)?;
+            (Arc::new(pruned), Some(stats))
         }
-        None => universe,
+        None => (Arc::clone(&entry.universe), None),
     };
 
-    let max_sources = match body.get("max_sources") {
-        Some(v) => v.as_usize().ok_or_else(|| {
-            ApiError::new(
-                400,
-                "bad_request",
-                "`max_sources` must be a non-negative integer",
-            )
-        })?,
-        None => universe.len(),
-    };
-    let mut constraints = Constraints::with_max_sources(max_sources);
-    if let Some(v) = body.get("theta") {
-        constraints =
-            constraints
-                .theta(v.as_f64().ok_or_else(|| {
-                    ApiError::new(400, "bad_request", "`theta` must be a number")
-                })?);
+    let mut constraints = Constraints::with_max_sources(max_sources.unwrap_or(universe.len()));
+    if let Some(theta) = theta {
+        constraints = constraints.theta(theta);
     }
-    if let Some(v) = body.get("beta") {
-        constraints = constraints.beta(v.as_usize().ok_or_else(|| {
-            ApiError::new(400, "bad_request", "`beta` must be a non-negative integer")
-        })?);
+    if let Some(beta) = beta {
+        constraints = constraints.beta(beta);
     }
-    if let Some(pins) = body.get("pins") {
-        let pins = pins
-            .as_array()
-            .ok_or_else(|| ApiError::new(400, "bad_request", "`pins` must be an array"))?;
-        for pin in pins {
-            let name = pin.as_str().ok_or_else(|| {
-                ApiError::new(400, "bad_request", "`pins` entries must be source names")
+    for name in pins {
+        let source = universe
+            .source_by_name(name)
+            .ok_or_else(|| MubeError::UnknownSourceName {
+                name: name.to_string(),
             })?;
-            let id = universe
-                .source_by_name(name)
-                .map(mube_core::Source::id)
-                .ok_or_else(|| {
-                    ApiError::new(422, "unknown_name", &format!("unknown source `{name}`"))
-                })?;
-            constraints.required_sources.insert(id);
-        }
+        constraints.required_sources.insert(source.id());
     }
-
-    let has_mttf = universe
-        .sources()
-        .any(|s| s.characteristic("mttf").is_some());
-    let mut qefs = if has_mttf {
-        paper_default_qefs("mttf")
-    } else {
-        data_only_qefs()
-    };
-    if let Some(weights) = body.get("weights") {
-        let members = weights
-            .as_object()
-            .ok_or_else(|| ApiError::new(400, "bad_request", "`weights` must be an object"))?;
-        for (name, value) in members {
-            let w = value.as_f64().ok_or_else(|| {
-                ApiError::new(
-                    400,
-                    "bad_request",
-                    &format!("weight `{name}` must be a number"),
-                )
-            })?;
-            qefs = qefs.reweighted(name, w)?;
-        }
+    let mut qefs = default_qefs(&universe);
+    for (name, w) in weights {
+        qefs = qefs.reweighted(name, w)?;
     }
 
     // The catalog entry's similarity cache was interned over the *full*
     // universe; a pruned session gets a fresh matcher over its own subset.
-    let matcher: Arc<dyn MatchOperator> = if pruned_stats.is_some() {
+    let matcher: Arc<dyn MatchOperator> = if pruned.is_some() {
         Arc::new(ClusterMatcher::new(
             Arc::clone(&universe),
             JaccardNGram::trigram(),
@@ -1378,86 +1423,14 @@ fn build_session_from_body(
     let problem = Problem::new(Arc::clone(&universe), matcher, qefs, constraints.clone())
         .map_err(|e| conflict_error(&e, &universe, &constraints))?;
 
-    let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(0);
     // Every solver, a portfolio member or not, carries the server's
     // per-solve evaluation cap.
-    let name = body.get("solver").and_then(Json::as_str).unwrap_or("tabu");
-    let single = mube_opt::solver_by_name(name, max_solve_evaluations).ok_or_else(|| {
-        ApiError::new(
-            422,
-            "invalid_parameter",
-            &format!("unknown solver `{name}` (expected tabu, sls, anneal, or pso)"),
-        )
-    })?;
-
-    // Portfolio mode: `portfolio` names the members; `threads` alone (or
-    // `restarts` > 1) engages the default spec so thread-count comparisons
-    // exercise the same code path.
-    let threads = match body.get("threads") {
-        Some(v) => {
-            let n = v.as_usize().filter(|&n| n >= 1).ok_or_else(|| {
-                ApiError::new(400, "bad_request", "`threads` must be a positive integer")
-            })?;
-            if n > MAX_THREADS {
-                return Err(bound_error("threads", n, MAX_THREADS));
-            }
-            Some(n)
-        }
-        None => None,
-    };
-    let restarts = match body.get("restarts") {
-        Some(v) => v.as_usize().filter(|&n| n >= 1).ok_or_else(|| {
-            ApiError::new(400, "bad_request", "`restarts` must be a positive integer")
-        })?,
-        None => 1,
-    };
-    if restarts > MAX_RESTARTS {
-        return Err(bound_error("restarts", restarts, MAX_RESTARTS));
-    }
-    let mut portfolio_spec = match body.get("portfolio") {
-        Some(v) => {
-            let spec = v.as_str().ok_or_else(|| {
-                ApiError::new(400, "bad_request", "`portfolio` must be a spec string")
-            })?;
-            Some(spec.to_string())
-        }
-        None => None,
-    };
-    if portfolio_spec.is_none() && (threads.is_some() || restarts > 1) {
-        portfolio_spec = Some("tabu,sls,anneal,pso".to_string());
-    }
-    let (solver, solver_name): (Box<dyn SubsetSolver>, String) = match portfolio_spec {
-        Some(spec) => {
-            let names = mube_opt::parse_portfolio_spec(&spec)
-                .map_err(|e| ApiError::new(422, "invalid_parameter", &e))?;
-            let total_members = names.len() * restarts;
-            if total_members > MAX_PORTFOLIO_MEMBERS {
-                return Err(bound_error(
-                    "portfolio members (|portfolio| × restarts)",
-                    total_members,
-                    MAX_PORTFOLIO_MEMBERS,
-                ));
-            }
-            let mut members: Vec<Box<dyn SubsetSolver>> = Vec::new();
-            for _ in 0..restarts {
-                for name in &names {
-                    members.push(
-                        mube_opt::solver_by_name(name, max_solve_evaluations)
-                            .expect("spec names are canonical"),
-                    );
-                }
-            }
-            let pf = Portfolio::new(members).threads(threads.unwrap_or(1));
-            let label = pf.name().to_string();
-            (Box::new(pf), label)
-        }
-        None => {
-            let label = single.name().to_string();
-            (single, label)
-        }
-    };
+    let solver = solver
+        .build(max_solve_evaluations)
+        .map_err(invalid_parameter)?;
+    let solver_name = solver.name().to_string();
     let mut session = Session::new(problem, solver, seed);
-    if body.get("continuity").and_then(Json::as_bool) == Some(true) {
+    if continuity {
         session = session.with_continuity();
     }
     Ok(BuiltSession {
@@ -1465,8 +1438,35 @@ fn build_session_from_body(
         session,
         solver_name,
         seed,
-        pruned: pruned_stats,
+        pruned,
     })
+}
+
+/// The session's solver: [`SolverChoice::new`] over the `solver`,
+/// `portfolio`, `threads` and `restarts` fields, within the server's
+/// resource bounds.
+fn solver_choice(f: &Fields) -> Result<SolverChoice, ApiError> {
+    let threads = f.opt::<NonZeroUsize>("threads")?.map(NonZeroUsize::get);
+    let restarts = f
+        .opt::<NonZeroUsize>("restarts")?
+        .map_or(1, NonZeroUsize::get);
+    let (solver, portfolio) = (f.opt("solver")?, f.opt("portfolio")?);
+    if let Some(n) = threads.filter(|&n| n > MAX_THREADS) {
+        return Err(bound_error("threads", n, MAX_THREADS));
+    }
+    if restarts > MAX_RESTARTS {
+        return Err(bound_error("restarts", restarts, MAX_RESTARTS));
+    }
+    let choice =
+        SolverChoice::new(solver, portfolio, threads, restarts).map_err(invalid_parameter)?;
+    if choice.runs() > MAX_PORTFOLIO_MEMBERS {
+        return Err(bound_error(
+            "portfolio members (|portfolio| × restarts)",
+            choice.runs(),
+            MAX_PORTFOLIO_MEMBERS,
+        ));
+    }
+    Ok(choice)
 }
 
 fn create_session(state: &ServerState, req: &Request) -> Result<(u16, String), ApiError> {
@@ -1489,15 +1489,13 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, String), A
         .store
         .insert_session(catalog_id, built.session)
         .map_err(|e| match e {
-            StoreError::UnknownCatalog => ApiError::new(
-                404,
-                "unknown_catalog",
-                &format!("no catalog `{catalog_id}`"),
-            ),
+            StoreError::UnknownCatalog => {
+                ApiError::new(404, "unknown_catalog", format!("no catalog `{catalog_id}`"))
+            }
             StoreError::TooManySessions { limit } => ApiError::new(
                 429,
                 "too_many_sessions",
-                &format!("{limit} sessions are live and none is idle"),
+                format!("{limit} sessions are live and none is idle"),
             ),
         })?;
     state.metrics.session_created();
@@ -1550,16 +1548,7 @@ fn solve(
     req: &Request,
 ) -> Result<(u16, String), ApiError> {
     let body = parse_body(req)?;
-    let requested = match body.get("time_budget_ms") {
-        Some(v) => Some(v.as_u64().ok_or_else(|| {
-            ApiError::new(
-                400,
-                "bad_request",
-                "`time_budget_ms` must be a non-negative integer",
-            )
-        })?),
-        None => None,
-    };
+    let requested = Fields::body(&body)?.opt::<u64>("time_budget_ms")?;
     // The watchdog is always armed: every solve is bounded by the server's
     // `max_solve_millis`; a request budget can only shorten the deadline.
     let budget_ms = requested
@@ -1626,31 +1615,27 @@ fn execute_session(
     req: &Request,
 ) -> Result<(u16, String), ApiError> {
     let body = parse_body(req)?;
-    let (lo, hi) = match body.get("query") {
+    let f = Fields::body(&body)?;
+    let (lo, hi) = match f.object("query")? {
         None => (0, u64::MAX),
-        Some(q) => {
-            let lo = q.get("start").and_then(Json::as_u64).unwrap_or(0);
-            let hi = q.get("end").and_then(Json::as_u64).unwrap_or(u64::MAX);
-            if lo > hi {
-                return Err(ApiError::new(
-                    400,
-                    "bad_request",
-                    "`query.start` must not exceed `query.end`",
-                ));
-            }
-            (lo, hi)
-        }
+        Some(q) => (
+            q.opt("start")?.unwrap_or(0),
+            q.opt("end")?.unwrap_or(u64::MAX),
+        ),
     };
-    let fault_seed = body.get("fault_seed").and_then(Json::as_u64).unwrap_or(1);
-    let spec = match body.get("faults") {
-        None => None,
-        Some(v) => {
-            let text = v.as_str().ok_or_else(|| {
-                ApiError::new(400, "bad_request", "`faults` must be a spec string")
-            })?;
-            Some(FaultSpec::parse(text).map_err(|e| ApiError::new(422, "invalid_parameter", &e))?)
-        }
-    };
+    if lo > hi {
+        return Err(ApiError::new(
+            400,
+            "bad_request",
+            "`query.start` must not exceed `query.end`",
+        ));
+    }
+    let fault_seed = f.opt("fault_seed")?.unwrap_or(1);
+    let faults = f.opt::<&str>("faults")?;
+    let spec = faults
+        .map(FaultSpec::parse)
+        .transpose()
+        .map_err(invalid_parameter)?;
 
     let session = entry.session.lock().expect("session lock poisoned");
     let solution = session
@@ -1714,78 +1699,34 @@ fn execute_session(
     Ok((200, j.finish()))
 }
 
-/// Applies one feedback action; the error carries the failing action's
-/// engine error so the caller can report its index.
-fn apply_action(session: &mut Session, action: &Json) -> Result<(), ApiError> {
-    let op = action
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ApiError::new(400, "bad_request", "action missing string field `op`"))?;
-    let need_str = |field: &str| {
-        action.get(field).and_then(Json::as_str).ok_or_else(|| {
-            ApiError::new(
-                400,
-                "bad_request",
-                &format!("`{op}` action needs string field `{field}`"),
-            )
-        })
-    };
-    let need_f64 = |field: &str| {
-        action.get(field).and_then(Json::as_f64).ok_or_else(|| {
-            ApiError::new(
-                400,
-                "bad_request",
-                &format!("`{op}` action needs numeric field `{field}`"),
-            )
-        })
-    };
-    let need_usize = |field: &str| {
-        action.get(field).and_then(Json::as_usize).ok_or_else(|| {
-            ApiError::new(
-                400,
-                "bad_request",
-                &format!("`{op}` action needs non-negative integer field `{field}`"),
-            )
-        })
+/// Applies one feedback action.
+fn apply_action(session: &mut Session, action: &Fields) -> Result<(), ApiError> {
+    let op = action.req::<&str>("op")?;
+    let f = Fields {
+        members: action.members,
+        prefix: format!("`{op}` action field `"),
     };
     match op {
-        "pin" => session.pin_source_by_name(need_str("source")?)?,
-        "unpin" => session.unpin_source_by_name(need_str("source")?)?,
-        "adopt_ga" => session.adopt_ga(need_usize("index")?)?,
+        "pin" => session.pin_source_by_name(f.req("source")?)?,
+        "unpin" => session.unpin_source_by_name(f.req("source")?)?,
+        "adopt_ga" => session.adopt_ga(f.req("index")?)?,
         "require_ga" => {
-            let attrs = action
-                .get("attrs")
-                .and_then(Json::as_array)
-                .ok_or_else(|| {
-                    ApiError::new(400, "bad_request", "`require_ga` needs array field `attrs`")
-                })?;
-            let mut pairs = Vec::with_capacity(attrs.len());
-            for a in attrs {
-                let source = a.get("source").and_then(Json::as_str);
-                let attr = a.get("attr").and_then(Json::as_str);
-                match (source, attr) {
-                    (Some(s), Some(at)) => pairs.push((s, at)),
-                    _ => {
-                        return Err(ApiError::new(
-                            400,
-                            "bad_request",
-                            "`attrs` entries need string fields `source` and `attr`",
-                        ))
-                    }
-                }
+            let mut pairs = Vec::new();
+            for a in f.objects("attrs")? {
+                pairs.push((a.req("source")?, a.req("attr")?));
             }
             session.require_ga_by_names(&pairs)?;
         }
         "clear_gas" => session.clear_ga_constraints()?,
-        "weight" => session.set_weight(need_str("qef")?, need_f64("value")?)?,
-        "theta" => session.set_theta(need_f64("value")?)?,
-        "beta" => session.set_beta(need_usize("value")?)?,
-        "max_sources" => session.set_max_sources(need_usize("value")?)?,
+        "weight" => session.set_weight(f.req("qef")?, f.req("value")?)?,
+        "theta" => session.set_theta(f.req("value")?)?,
+        "beta" => session.set_beta(f.req("value")?)?,
+        "max_sources" => session.set_max_sources(f.req("value")?)?,
         other => {
             return Err(ApiError::new(
                 400,
                 "bad_request",
-                &format!("unknown feedback op `{other}`"),
+                format!("unknown feedback op `{other}`"),
             ))
         }
     }
@@ -1798,10 +1739,7 @@ fn feedback(
     req: &Request,
 ) -> Result<(u16, String), ApiError> {
     let body = parse_body(req)?;
-    let actions = body
-        .get("actions")
-        .and_then(Json::as_array)
-        .ok_or_else(|| ApiError::new(400, "bad_request", "missing array field `actions`"))?;
+    let actions = Fields::body(&body)?.objects("actions")?;
     let event = Event::Feedback {
         session: entry.id,
         body: req.body_utf8().unwrap_or("{}").to_string(),
@@ -1809,35 +1747,11 @@ fn feedback(
     state.check_journalable(&event)?;
     let mut session = entry.session.lock().expect("session lock poisoned");
     for (i, action) in actions.iter().enumerate() {
-        // Attach the failing index: actions apply in order, so the caller
-        // knows everything before `i` took effect.
+        // Actions apply in order, so the failing index tells the caller
+        // that everything before it took effect.
         apply_action(&mut session, action).map_err(|e| ApiError {
-            status: e.status,
-            body: {
-                // Re-wrap the already-rendered error with the index. The
-                // body is a flat error object; splice `"action":i` in by
-                // re-rendering from its parsed form.
-                match Json::parse(&e.body) {
-                    Ok(v) => {
-                        let code = v
-                            .get("error")
-                            .and_then(|e| e.get("code"))
-                            .and_then(Json::as_str)
-                            .unwrap_or("engine_error")
-                            .to_string();
-                        let message = v
-                            .get("error")
-                            .and_then(|e| e.get("message"))
-                            .and_then(Json::as_str)
-                            .unwrap_or_default()
-                            .to_string();
-                        error_body(&code, &message, |j| {
-                            j.key("action").uint_value(i as u64);
-                        })
-                    }
-                    Err(_) => e.body,
-                }
-            },
+            action: Some(i),
+            ..e
         })?;
     }
     // Journal only after every action applied: replay applies the whole
@@ -1923,7 +1837,7 @@ fn delete_session(state: &ServerState, id: &str) -> Result<(u16, String), ApiErr
         return Err(ApiError::new(
             404,
             "unknown_session",
-            &format!("no session `{id}`"),
+            format!("no session `{id}`"),
         ));
     }
     state.journal_append(Event::SessionDelete {
@@ -1993,7 +1907,7 @@ pub(crate) fn replay_event(
         Event::SessionCreate { id, body, .. } => {
             let json = Json::parse(&body).map_err(|e| format!("session {id}: {e}"))?;
             let built = build_session_from_body(store, max_solve_evaluations, &json)
-                .map_err(|e| format!("session {id}: {}", e.body))?;
+                .map_err(|e| format!("session {id}: {}", e.message))?;
             store
                 .insert_session_with_id(id, built.catalog_id, built.session)
                 .map_err(|_| format!("session {id}: catalog {} missing", built.catalog_id))?;
@@ -2003,14 +1917,13 @@ pub(crate) fn replay_event(
                 .session(session)
                 .ok_or_else(|| format!("feedback for missing session {session}"))?;
             let json = Json::parse(&body).map_err(|e| format!("session {session}: {e}"))?;
-            let actions = json
-                .get("actions")
-                .and_then(Json::as_array)
-                .ok_or_else(|| format!("session {session}: feedback without actions"))?;
+            let why = |e: ApiError| format!("session {session}: {}", e.message);
+            let actions = Fields::body(&json)
+                .and_then(|f| f.objects("actions"))
+                .map_err(why)?;
             let mut s = entry.session.lock().expect("session lock poisoned");
-            for action in actions {
-                apply_action(&mut s, action)
-                    .map_err(|e| format!("session {session}: {}", e.body))?;
+            for action in &actions {
+                apply_action(&mut s, action).map_err(why)?;
             }
         }
         Event::Solve { session, solution } => {

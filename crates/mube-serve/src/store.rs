@@ -265,7 +265,7 @@ impl Store {
     }
 
     /// Evicts every session idle for at least the TTL (and not held by an
-    /// in-flight handler — see [`Store::evictable`]), returning the evicted
+    /// in-flight handler — see `Store::evictable`), returning the evicted
     /// ids. Called opportunistically by the server.
     pub fn sweep_idle(&self) -> Vec<u64> {
         let mut sessions = self.sessions.write().expect("sessions lock poisoned");

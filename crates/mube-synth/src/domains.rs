@@ -423,11 +423,6 @@ impl DomainKind {
     }
 }
 
-/// The canonical name of a global concept id.
-pub fn canonical_of_global(id: usize) -> Option<&'static str> {
-    DomainKind::of_global_id(id).map(|(kind, local)| kind.concepts()[local].0)
-}
-
 /// The variant pool of a global concept id.
 pub fn variants_of_global(id: usize) -> Option<&'static [&'static str]> {
     DomainKind::of_global_id(id).map(|(kind, local)| kind.concepts()[local].1)
@@ -443,7 +438,6 @@ mod global_id_tests {
             for local in 0..kind.num_concepts() {
                 let global = kind.concept_id_offset() + local;
                 assert_eq!(DomainKind::of_global_id(global), Some((kind, local)));
-                assert_eq!(canonical_of_global(global), Some(kind.concepts()[local].0));
             }
         }
     }

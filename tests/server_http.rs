@@ -897,3 +897,221 @@ fn feedback_on_an_unknown_source_names_the_source() {
     handle.shutdown();
     join.join().unwrap().unwrap();
 }
+
+#[test]
+fn a_named_solver_is_refused_alongside_a_portfolio() {
+    let (handle, join) = spawn(2);
+    let addr = handle.addr();
+    let catalog_id = upload_catalog(addr, 8, 9);
+
+    for extra in [
+        r#""threads":2"#,
+        r#""restarts":2"#,
+        r#""portfolio":"tabu,sls""#,
+    ] {
+        let body = format!("{{\"catalog\":{catalog_id},\"solver\":\"sls\",{extra}}}");
+        let (status, v) = request(addr, "POST", "/sessions", &body);
+        assert_eq!(status, 422, "{body}: {v:?}");
+        assert_eq!(error_of(&v).0, Some("invalid_parameter"), "{body}");
+    }
+    assert_eq!(handle.stats().sessions_created, 0);
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// A three-source catalog small enough to name its sources in the table
+/// below.
+const TINY_CATALOG: &str = "source alpha\n  attr title\n  attr author\n\
+                            source beta\n  attr title\n  attr author name\n\
+                            source gamma\n  attr book title\n  attr writer\n";
+
+/// Every request field, sent with a JSON type it cannot hold, is a 400
+/// `bad_request` naming the field, and nothing is created or journaled.
+#[test]
+fn every_mistyped_field_is_a_400_naming_it() {
+    let dir = std::env::temp_dir().join(format!("mube-mistyped-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (handle, join) = Server::spawn(ServeConfig {
+        data_dir: Some(dir.to_string_lossy().into_owned()),
+        ..test_config(2)
+    })
+    .expect("bind test server");
+    let addr = handle.addr();
+
+    let mut j = mube_core::jsonw::JsonBuf::new();
+    j.begin_obj();
+    j.key("catalog").str_value(TINY_CATALOG);
+    j.end_obj();
+    let (status, v) = request(addr, "POST", "/catalogs", &j.finish());
+    assert_eq!(status, 201, "{v:?}");
+    let catalog = v.get("catalog").and_then(Json::as_u64).unwrap();
+    // A valid body; each row below appends one member, and the last of
+    // duplicate keys wins.
+    let base = format!(
+        "{{\"catalog\":{catalog},\"max_sources\":2,\"theta\":0.3,\"beta\":1,\
+         \"pins\":[\"alpha\"],\"weights\":{{\"coverage\":0.3}},\"seed\":7,\
+         \"continuity\":true,\"prune\":{{\"top_k\":3,\"keywords\":[\"title\"],\"dedup\":false}}"
+    );
+    let (status, v) = request(addr, "POST", "/sessions", &format!("{base}}}"));
+    assert_eq!(status, 201, "{v:?}");
+    let session = v.get("session").and_then(Json::as_u64).unwrap();
+    let (status, v) = request(addr, "POST", &format!("/sessions/{session}/solve"), "");
+    assert_eq!(status, 200, "{v:?}");
+
+    let solve = format!("/sessions/{session}/solve");
+    let execute = format!("/sessions/{session}/execute");
+    let feedback = format!("/sessions/{session}/feedback");
+    let create = |member: &str| format!("{base},{member}}}");
+    let action = |member: &str| format!("{{\"actions\":[{{{member}}}]}}");
+    let cases: Vec<(&str, String, &str)> = vec![
+        ("/catalogs", r#"{"catalog":7}"#.into(), "`catalog`"),
+        ("/catalogs", "{}".into(), "`catalog`"),
+        ("/sessions", "[]".into(), "request body"),
+        ("/sessions", "{}".into(), "`catalog`"),
+        ("/sessions", r#"{"catalog":"0"}"#.into(), "`catalog`"),
+        ("/sessions", create(r#""max_sources":-1"#), "`max_sources`"),
+        ("/sessions", create(r#""theta":"0.3""#), "`theta`"),
+        ("/sessions", create(r#""beta":1.5"#), "`beta`"),
+        ("/sessions", create(r#""pins":"alpha""#), "`pins`"),
+        ("/sessions", create(r#""pins":[7]"#), "`pins[0]`"),
+        ("/sessions", create(r#""weights":[]"#), "`weights`"),
+        (
+            "/sessions",
+            create(r#""weights":{"coverage":"x"}"#),
+            "`weights.coverage`",
+        ),
+        ("/sessions", create(r#""seed":"7""#), "`seed`"),
+        ("/sessions", create(r#""solver":7"#), "`solver`"),
+        ("/sessions", create(r#""threads":0"#), "`threads`"),
+        ("/sessions", create(r#""restarts":"2""#), "`restarts`"),
+        (
+            "/sessions",
+            create(r#""portfolio":["tabu"]"#),
+            "`portfolio`",
+        ),
+        ("/sessions", create(r#""continuity":"yes""#), "`continuity`"),
+        ("/sessions", create(r#""prune":7"#), "`prune`"),
+        (
+            "/sessions",
+            create(r#""prune":{"top_k":0}"#),
+            "`prune.top_k`",
+        ),
+        (
+            "/sessions",
+            create(r#""prune":{"keywords":"title"}"#),
+            "`prune.keywords`",
+        ),
+        (
+            "/sessions",
+            create(r#""prune":{"keywords":[1]}"#),
+            "`prune.keywords[0]`",
+        ),
+        (
+            "/sessions",
+            create(r#""prune":{"dedup":1}"#),
+            "`prune.dedup`",
+        ),
+        (
+            &solve,
+            r#"{"time_budget_ms":"soon"}"#.into(),
+            "`time_budget_ms`",
+        ),
+        (&execute, r#"{"query":[0,9]}"#.into(), "`query`"),
+        (
+            &execute,
+            r#"{"query":{"start":"0"}}"#.into(),
+            "`query.start`",
+        ),
+        (&execute, r#"{"query":{"end":-9}}"#.into(), "`query.end`"),
+        (&execute, r#"{"fault_seed":"3"}"#.into(), "`fault_seed`"),
+        (&execute, r#"{"faults":0.3}"#.into(), "`faults`"),
+        (&feedback, "{}".into(), "`actions`"),
+        (&feedback, r#"{"actions":{}}"#.into(), "`actions`"),
+        (&feedback, r#"{"actions":[7]}"#.into(), "`actions[0]`"),
+        (&feedback, action(r#""op":7"#), "`actions[0].op`"),
+        (
+            &feedback,
+            action(r#""op":"pin","source":7"#),
+            "`pin` action field `source`",
+        ),
+        (
+            &feedback,
+            action(r#""op":"unpin""#),
+            "`unpin` action field `source`",
+        ),
+        (
+            &feedback,
+            action(r#""op":"adopt_ga","index":"0""#),
+            "`adopt_ga` action field `index`",
+        ),
+        (
+            &feedback,
+            action(r#""op":"require_ga","attrs":{}"#),
+            "`require_ga` action field `attrs`",
+        ),
+        (
+            &feedback,
+            action(r#""op":"require_ga","attrs":["title"]"#),
+            "`require_ga` action field `attrs[0]`",
+        ),
+        (
+            &feedback,
+            action(r#""op":"require_ga","attrs":[{"source":1,"attr":"title"}]"#),
+            "`require_ga` action field `attrs[0].source`",
+        ),
+        (
+            &feedback,
+            action(r#""op":"require_ga","attrs":[{"source":"alpha"}]"#),
+            "`require_ga` action field `attrs[0].attr`",
+        ),
+        (
+            &feedback,
+            action(r#""op":"weight","qef":7,"value":0.3"#),
+            "`weight` action field `qef`",
+        ),
+        (
+            &feedback,
+            action(r#""op":"weight","qef":"coverage","value":"0.3""#),
+            "`weight` action field `value`",
+        ),
+        (
+            &feedback,
+            action(r#""op":"theta","value":true"#),
+            "`theta` action field `value`",
+        ),
+        (
+            &feedback,
+            action(r#""op":"beta","value":-1"#),
+            "`beta` action field `value`",
+        ),
+        (
+            &feedback,
+            action(r#""op":"max_sources","value":"2""#),
+            "`max_sources` action field `value`",
+        ),
+    ];
+
+    let lsn = |v: &Json| v.get("lsn").and_then(Json::as_u64);
+    let (_, before) = request(addr, "GET", "/healthz", "");
+    let created = handle.stats().sessions_created;
+    for (path, body, field) in &cases {
+        let (status, v) = request(addr, "POST", path, body);
+        assert_eq!(status, 400, "{path} {body}: {v:?}");
+        let (code, message) = error_of(&v);
+        assert_eq!(code, Some("bad_request"), "{path} {body}: {v:?}");
+        let message = message.unwrap_or_default();
+        assert!(
+            message.contains(field),
+            "{path} {body}: {message:?} should name {field}"
+        );
+    }
+    let (_, after) = request(addr, "GET", "/healthz", "");
+    assert_eq!(lsn(&after), lsn(&before), "a refused request was journaled");
+    assert_eq!(handle.stats().sessions_created, created);
+    assert_eq!(handle.stats().catalogs_created, 1);
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
