@@ -4,7 +4,8 @@
 //! add a source, drop a source, swap two. Scoring each neighbour through
 //! [`Problem::evaluate`] repeats work that a single move cannot have
 //! changed — the selection's summed cardinality, the PCSA union of its
-//! cooperating sources, and (via memoization) the matcher run itself.
+//! cooperating sources, and the matching of every θ-component the move did
+//! not touch (memoized inside the reference matcher).
 //!
 //! [`DeltaEval`] maintains that state *across* moves, keyed by the QEF's
 //! declared [`DeltaClass`]:
@@ -14,9 +15,9 @@
 //!   cooperating sources' signatures, OR-ed register-by-register. Adds OR
 //!   the new signature in (`O(registers)`); drops mark the union dirty and
 //!   it is rebuilt lazily from the survivors, because OR has no inverse;
-//! * **F1 (matching)** — the matcher outcome, shared through the problem's
-//!   memo table so each distinct candidate is matched at most once across
-//!   all workers;
+//! * **F1 (matching)** — the matcher run on the new selection. The reference
+//!   matcher re-clusters only the θ-components the move touched and takes
+//!   the rest from its own per-component memo;
 //! * **selection-only QEFs** (characteristic aggregations) — re-evaluated
 //!   directly at `O(|S|)`, `|S| ≤ m`, which needs no schema work;
 //! * **opaque QEFs** — force the full [`Problem::evaluate`] path; this is
@@ -256,7 +257,7 @@ impl<'p> DeltaEval<'p> {
                 CandidateEval::Infeasible => INFEASIBLE_SCORE,
             };
         }
-        let Some(match_quality) = self.problem.match_quality_of(&self.selected) else {
+        let Some((_, match_quality)) = self.problem.match_and_filter(&self.selected) else {
             return INFEASIBLE_SCORE;
         };
         self.refresh_union();
@@ -312,9 +313,8 @@ impl<'p> DeltaEval<'p> {
 ///
 /// Each portfolio worker gets its own instance (via
 /// `SubsetObjective::worker_view`), so the mutex below is uncontended — it
-/// exists only because `SubsetObjective::score` takes `&self`. Matcher
-/// outcomes are still shared across workers through the problem's
-/// memo table.
+/// exists only because `SubsetObjective::score` takes `&self`. Workers
+/// share the problem's matcher, and with it whatever the matcher memoizes.
 pub struct DeltaObjective<'p> {
     problem: &'p Problem,
     state: Mutex<DeltaEval<'p>>,

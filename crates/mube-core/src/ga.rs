@@ -9,6 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::MubeError;
 use crate::ids::{AttrId, SourceId};
@@ -16,10 +17,10 @@ use crate::source::Universe;
 
 /// A Global Attribute: a non-empty set of attributes from *distinct* sources
 /// (Definition 1). Validity is enforced at construction, so a value of this
-/// type is always a valid GA.
+/// type is always a valid GA. A GA is immutable, so clones share one set.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalAttribute {
-    attrs: BTreeSet<AttrId>,
+    attrs: Arc<BTreeSet<AttrId>>,
 }
 
 impl GlobalAttribute {
@@ -30,20 +31,24 @@ impl GlobalAttribute {
         if attrs.is_empty() {
             return Err(MubeError::EmptyGa);
         }
-        let mut sources = BTreeSet::new();
+        // Attributes sort by source first, so a shared source is adjacent.
+        let mut prev: Option<SourceId> = None;
         for a in &attrs {
-            if !sources.insert(a.source) {
+            if prev == Some(a.source) {
                 return Err(MubeError::GaSourceConflict { source: a.source });
             }
+            prev = Some(a.source);
         }
-        Ok(GlobalAttribute { attrs })
+        Ok(GlobalAttribute {
+            attrs: Arc::new(attrs),
+        })
     }
 
     /// A GA holding a single attribute.
     pub fn singleton(attr: AttrId) -> Self {
-        let mut attrs = BTreeSet::new();
-        attrs.insert(attr);
-        GlobalAttribute { attrs }
+        GlobalAttribute {
+            attrs: Arc::new(BTreeSet::from([attr])),
+        }
     }
 
     /// The attributes in this GA.
@@ -100,7 +105,7 @@ impl GlobalAttribute {
     /// clustering algorithm.
     pub fn merge(&self, other: &GlobalAttribute) -> Option<GlobalAttribute> {
         let mut sources: BTreeSet<SourceId> = self.sources().collect();
-        for a in &other.attrs {
+        for a in other.attrs.iter() {
             // Shared attributes are fine (same source *and* same index);
             // distinct attributes from a shared source are not.
             if !sources.insert(a.source) && !self.attrs.contains(a) {
@@ -108,7 +113,9 @@ impl GlobalAttribute {
             }
         }
         let attrs = self.attrs.union(&other.attrs).copied().collect();
-        Some(GlobalAttribute { attrs })
+        Some(GlobalAttribute {
+            attrs: Arc::new(attrs),
+        })
     }
 
     /// Renders the GA with resolved attribute names, e.g.
@@ -185,34 +192,22 @@ impl MediatedSchema {
 
     /// True if no attribute appears in two GAs.
     pub fn gas_disjoint(&self) -> bool {
-        let mut seen = BTreeSet::new();
-        for ga in &self.gas {
-            for a in ga.attrs() {
-                if !seen.insert(*a) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// The set of sources that have at least one attribute in some GA.
-    pub fn sources_spanned(&self) -> BTreeSet<SourceId> {
-        let mut out = BTreeSet::new();
-        for ga in &self.gas {
-            out.extend(ga.sources());
-        }
-        out
+        let mut all: Vec<AttrId> = self
+            .gas
+            .iter()
+            .flat_map(|ga| ga.attrs().iter().copied())
+            .collect();
+        all.sort_unstable();
+        all.windows(2).all(|w| w[0] != w[1])
     }
 
     /// Definition 2: the schema is valid on a set of sources iff the GAs are
     /// pairwise disjoint and every source in the set is touched by some GA.
     pub fn is_valid_on(&self, sources: &BTreeSet<SourceId>) -> bool {
-        if !self.gas_disjoint() {
-            return false;
-        }
-        let spanned = self.sources_spanned();
-        sources.iter().all(|s| spanned.contains(s))
+        self.gas_disjoint()
+            && sources
+                .iter()
+                .all(|&s| self.gas.iter().any(|ga| ga.touches_source(s)))
     }
 
     /// Definition 3: `self` subsumes `other` iff every GA of `other` is

@@ -89,6 +89,12 @@ impl<V: Copy> ShardedCache<V> {
 }
 
 /// A fully specified `µBE` optimization problem.
+///
+/// The problem memoizes whole-candidate objective values. Matching is not
+/// memoized here: a matcher that can reuse work keeps its own memo (the
+/// reference `ClusterMatcher` of `mube-match` keeps a bounded one per
+/// θ-component, which survives every constraint edit that leaves `θ` and
+/// the GA constraints alone).
 pub struct Problem {
     universe: Arc<Universe>,
     matcher: Arc<dyn MatchOperator>,
@@ -97,11 +103,6 @@ pub struct Problem {
     ctx: EvalContext,
     /// Memoized overall objective values, `Q(S)` or [`INFEASIBLE_SCORE`].
     cache: ShardedCache<f64>,
-    /// Memoized matcher outcomes: `Some(F1)` for feasible candidates,
-    /// `None` for infeasible ones. Shared by the full evaluation path and
-    /// the delta evaluator, so a candidate's matching runs at most once
-    /// across all portfolio workers.
-    match_summaries: ShardedCache<Option<f64>>,
 }
 
 /// The result of evaluating one candidate source set in full.
@@ -131,7 +132,6 @@ impl Problem {
             constraints,
             ctx,
             cache: ShardedCache::new(),
-            match_summaries: ShardedCache::new(),
         })
     }
 
@@ -161,13 +161,10 @@ impl Problem {
         constraints.validate(&self.universe)?;
         self.constraints = constraints;
         self.cache.clear();
-        self.match_summaries.clear();
         Ok(())
     }
 
-    /// Replaces the QEF weighting and invalidates the objective cache. The
-    /// match-summary cache survives: matching depends on the constraints,
-    /// not the weights.
+    /// Replaces the QEF weighting and invalidates the objective cache.
     pub fn set_qefs(&mut self, qefs: WeightedQefs) {
         self.qefs = qefs;
         self.cache.clear();
@@ -182,7 +179,10 @@ impl Problem {
     /// did not grow from a user GA constraint and have fewer than `β`
     /// attributes are dropped from the schema. Returns the filtered schema
     /// and `F_1`, or `None` if the candidate is infeasible.
-    fn match_and_filter(&self, sources: &BTreeSet<SourceId>) -> Option<(MediatedSchema, f64)> {
+    pub(crate) fn match_and_filter(
+        &self,
+        sources: &BTreeSet<SourceId>,
+    ) -> Option<(MediatedSchema, f64)> {
         if sources.is_empty() || sources.len() > self.constraints.max_sources {
             return None;
         }
@@ -218,20 +218,6 @@ impl Problem {
             return None;
         }
         Some((schema, quality))
-    }
-
-    /// The matcher outcome of a candidate, reduced to the number the QEFs
-    /// need: `Some(F1)` if the candidate is feasible, `None` otherwise. The
-    /// result is memoized (the matcher is deterministic), so the delta
-    /// evaluator and the full path share one matcher run per candidate.
-    pub(crate) fn match_quality_of(&self, sources: &BTreeSet<SourceId>) -> Option<f64> {
-        let key: Vec<u32> = sources.iter().map(|s| s.0).collect();
-        if let Some(summary) = self.match_summaries.get(&key) {
-            return summary;
-        }
-        let summary = self.match_and_filter(sources).map(|(_, quality)| quality);
-        self.match_summaries.insert(key, summary);
-        summary
     }
 
     /// Fully evaluates one candidate: matching, β filtering, QEF scoring.
@@ -556,21 +542,6 @@ mod tests {
             }
         });
         assert_eq!(p.distinct_evaluations(), distinct_before);
-    }
-
-    #[test]
-    fn match_summaries_survive_reweighting() {
-        let mut p = problem(5, 3);
-        let s: BTreeSet<_> = [SourceId(0), SourceId(1)].into();
-        let q1 = p.match_quality_of(&s);
-        p.set_qefs(data_only_qefs());
-        assert_eq!(p.distinct_evaluations(), 0, "objective cache cleared");
-        assert_eq!(p.match_quality_of(&s), q1, "summary cache retained");
-        p.set_constraints(Constraints::with_max_sources(4).beta(1))
-            .unwrap();
-        // Constraints affect matching, so the summary cache must go too —
-        // recomputing under the new constraints still succeeds.
-        assert!(p.match_quality_of(&s).is_some());
     }
 
     #[test]

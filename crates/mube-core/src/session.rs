@@ -166,6 +166,26 @@ impl Session {
     // session ready for the next `run()`.
     // ------------------------------------------------------------------
 
+    /// Applies a batch of feedback as one unit: if `edit` fails, the
+    /// constraints and weights are put back as they were before it, so a
+    /// refused batch leaves no partial edit behind. The feedback verbs
+    /// change nothing else.
+    pub fn atomically<T, E>(
+        &mut self,
+        edit: impl FnOnce(&mut Session) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let constraints = self.problem.constraints().clone();
+        let qefs = self.problem.qefs().clone();
+        let out = edit(self);
+        if out.is_err() {
+            self.problem
+                .set_constraints(constraints)
+                .expect("constraints that were in force stay valid");
+            self.problem.set_qefs(qefs);
+        }
+        out
+    }
+
     /// Pins a source: it must appear in every future solution.
     pub fn pin_source(&mut self, source: SourceId) -> Result<(), MubeError> {
         let mut c = self.problem.constraints().clone();
@@ -417,6 +437,28 @@ mod tests {
         s.set_weight("cardinality", 0.7).unwrap();
         assert!((s.problem().qefs().weight_of("cardinality").unwrap() - 0.7).abs() < 1e-9);
         assert!(s.set_weight("ghost", 0.5).is_err());
+    }
+
+    #[test]
+    fn refused_batch_changes_nothing() {
+        let mut s = session(5, 3);
+        let before = s.constraints().clone();
+        let weights: Vec<f64> = s.problem().qefs().iter().map(|(_, w)| w).collect();
+        let err = s.atomically(|s| {
+            s.pin_source(SourceId(2))?;
+            s.set_weight("cardinality", 0.9)?;
+            s.set_theta(0.4)?;
+            s.adopt_ga(999)
+        });
+        assert!(matches!(
+            err,
+            Err(MubeError::StaleGaIndex { index: 999, .. })
+        ));
+        assert_eq!(s.constraints(), &before);
+        let after: Vec<f64> = s.problem().qefs().iter().map(|(_, w)| w).collect();
+        assert_eq!(after, weights);
+        s.atomically(|s| s.pin_source(SourceId(2))).unwrap();
+        assert!(s.constraints().required_sources.contains(&SourceId(2)));
     }
 
     #[test]

@@ -22,9 +22,24 @@
 //!   keep coalescing, as in Figure 3(b)→(c));
 //! * elimination at the end of a round removes clusters that were never
 //!   merged, are not pending merge candidates, and are not user-kept.
+//!
+//! # Per-component runs
+//!
+//! Two clusters can only merge across a θ-edge (a name pair whose clamped
+//! similarity reaches `θ`) or inside a GA-constraint seed, and one round's
+//! merge flags only touch the two clusters of a pair. So Algorithm 1 over a
+//! selection is the union of independent runs over the connected components
+//! of that graph. [`ClusterMatcher`] partitions the universe's distinct
+//! names once per `(θ, seeds)`, memoizes every component's outcome, and
+//! runs Algorithm 1 only over the components of a call that the memo
+//! misses: a tabu move re-clusters only the components its source touches.
+//! Each final cluster carries an *order key* (see `Origin`) that
+//! reproduces its position in the one-run output, so the schema's GA order
+//! and the `F1` sum are bit for bit those of a single run.
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 use mube_core::constraints::Constraints;
 use mube_core::ga::{GlobalAttribute, MediatedSchema};
@@ -35,24 +50,31 @@ use mube_core::source::Universe;
 use crate::cache::SimilarityCache;
 use crate::similarity::Similarity;
 
+/// Most component outcomes one [`ClusterMatcher`] keeps. The memo holds two
+/// generations of at most half this many entries each: when the young one
+/// is full it becomes the old one, and the previous old one is dropped.
+pub const COMPONENT_MEMO_CAP: usize = 2048;
+
 /// `µBE`'s reference `Match(S)` operator.
 ///
 /// Holds a similarity cache precomputed over the universe it was built for;
 /// calls with a different universe are rejected as infeasible (caches and
-/// universes travel together).
+/// universes travel together). It also holds a bounded memo of
+/// per-component clustering outcomes (see [`ClusterMatcher::memo_stats`]);
+/// what the memo holds never changes an outcome.
 pub struct ClusterMatcher {
     cache: Arc<SimilarityCache>,
     universe_len: usize,
+    /// The name partition of the last `(θ, seeds)` seen.
+    partition: Mutex<Option<Arc<Partition>>>,
+    memo: Mutex<Memo>,
 }
 
 impl ClusterMatcher {
     /// Builds a matcher (and its similarity cache) for a universe.
     pub fn new(universe: Arc<Universe>, measure: impl Similarity + 'static) -> Self {
         let cache = Arc::new(SimilarityCache::build(&universe, &measure));
-        ClusterMatcher {
-            cache,
-            universe_len: universe.len(),
-        }
+        ClusterMatcher::with_cache(&universe, cache)
     }
 
     /// Builds a matcher from an existing cache (sharing it with other
@@ -61,6 +83,8 @@ impl ClusterMatcher {
         ClusterMatcher {
             cache,
             universe_len: universe.len(),
+            partition: Mutex::new(None),
+            memo: Mutex::new(Memo::new(COMPONENT_MEMO_CAP)),
         }
     }
 
@@ -68,10 +92,201 @@ impl ClusterMatcher {
     pub fn cache(&self) -> &Arc<SimilarityCache> {
         &self.cache
     }
+
+    /// Hits, misses and entries of the component memo so far.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo.lock().expect("component memo poisoned").stats()
+    }
+
+    /// The name partition for `theta` and `seeds`, reusing the last one.
+    fn partition(&self, theta: f64, seeds: &[GlobalAttribute]) -> Arc<Partition> {
+        let mut slot = self.partition.lock().expect("name partition poisoned");
+        match slot.as_ref() {
+            Some(p) if p.theta_bits == theta.to_bits() && p.seeds == seeds => Arc::clone(p),
+            _ => {
+                let p = Arc::new(Partition::build(&self.cache, theta, seeds));
+                *slot = Some(Arc::clone(&p));
+                p
+            }
+        }
+    }
+}
+
+/// Counters of a [`ClusterMatcher`]'s component memo. Components of a
+/// single attribute and no seed are never looked up: they always vanish.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MemoStats {
+    /// Component lookups answered from the memo.
+    pub hits: u64,
+    /// Component lookups that ran Algorithm 1.
+    pub misses: u64,
+    /// Outcomes held now; never more than [`COMPONENT_MEMO_CAP`].
+    pub entries: usize,
+}
+
+/// Connected components of the universe's distinct names under one `θ`:
+/// two names are joined by a θ-edge (the predicate [`Clustering::edges`]
+/// uses), and all names of one seed's attributes are joined. This is
+/// coarser than any selection's own components, which keeps each
+/// per-component run exact.
+struct Partition {
+    theta_bits: u64,
+    seeds: Vec<GlobalAttribute>,
+    /// Name id → component representative.
+    component: Vec<u32>,
+}
+
+impl Partition {
+    fn build(cache: &SimilarityCache, theta: f64, seeds: &[GlobalAttribute]) -> Self {
+        fn find(parent: &mut [u32], mut x: u32) -> u32 {
+            while parent[x as usize] != x {
+                parent[x as usize] = parent[parent[x as usize] as usize];
+                x = parent[x as usize];
+            }
+            x
+        }
+        fn union(parent: &mut [u32], a: u32, b: u32) {
+            let (ra, rb) = (find(parent, a), find(parent, b));
+            parent[ra.max(rb) as usize] = ra.min(rb);
+        }
+        let d = cache.distinct_names() as u32;
+        let mut parent: Vec<u32> = (0..d).collect();
+        for a in 0..d {
+            for b in a + 1..d {
+                let s = cache.sim_by_name_id(a, b);
+                let e = if s > 0.0 { s } else { 0.0 };
+                if e >= theta {
+                    union(&mut parent, a, b);
+                }
+            }
+        }
+        for seed in seeds {
+            let mut names = seed.attrs().iter().map(|&a| cache.name_id(a));
+            if let Some(first) = names.next() {
+                for n in names {
+                    union(&mut parent, first, n);
+                }
+            }
+        }
+        let component = (0..d).map(|n| find(&mut parent, n)).collect();
+        Partition {
+            theta_bits: theta.to_bits(),
+            seeds: seeds.to_vec(),
+            component,
+        }
+    }
+}
+
+/// One final cluster of a component run.
+struct FinalCluster {
+    /// Its order key's range in [`Outcome::keys`] (see [`Origin`]).
+    key: Range<usize>,
+    ga: GlobalAttribute,
+    /// Best similarity between two members (1.0 for a singleton).
+    quality: f64,
+}
+
+/// A component's final clusters.
+struct Outcome {
+    /// The clusters' order keys, concatenated.
+    keys: Box<[u64]>,
+    clusters: Box<[FinalCluster]>,
+}
+
+/// A memoized component: `None` if none of its clusters survives.
+type ComponentOutcome = Option<Arc<Outcome>>;
+
+type MemoMap = HashMap<Box<[u64]>, ComponentOutcome>;
+
+/// Component outcomes keyed by `θ`, the component's attributes and its
+/// seeds (see [`ClusterMatcher::match_sources`]), in two bounded
+/// generations.
+struct Memo {
+    cap: usize,
+    young: MemoMap,
+    old: MemoMap,
+    hits: u64,
+    misses: u64,
+}
+
+impl Memo {
+    fn new(cap: usize) -> Self {
+        Memo {
+            cap,
+            young: MemoMap::default(),
+            old: MemoMap::default(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn get(&mut self, key: &[u64]) -> Option<ComponentOutcome> {
+        let found = match self.young.get(key) {
+            Some(v) => Some(v.clone()),
+            None => self.old.remove_entry(key).map(|(k, v)| {
+                self.insert(k, v.clone());
+                v
+            }),
+        };
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        found
+    }
+
+    fn insert(&mut self, key: Box<[u64]>, value: ComponentOutcome) {
+        if self.young.len() >= self.cap / 2 {
+            self.old = std::mem::take(&mut self.young);
+        }
+        self.young.insert(key, value);
+    }
+
+    fn stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.hits,
+            misses: self.misses,
+            entries: self.young.len() + self.old.len(),
+        }
+    }
 }
 
 /// Marks an attribute whose cluster was eliminated.
 const GONE: u32 = u32::MAX;
+
+/// Marks an attribute outside every seed.
+const NO_SEED: u32 = u32::MAX;
+
+/// `AttrId` as one `u64`, in `AttrId` order.
+fn pack(a: AttrId) -> u64 {
+    (u64::from(a.source.0) << 32) | u64::from(a.index)
+}
+
+/// Where a cluster came from. A cluster's order key is this tree flattened
+/// in pre-order:
+///
+/// * a seed: `[MAX, 0, seed index]`;
+/// * an attribute: `[MAX, 1, AttrId]`;
+/// * a merge in round `r` of a pair with best edge `s`:
+///   `[MAX − r, −s, key(first parent), key(second parent)]`, `−s` encoded
+///   so that higher similarities sort first.
+///
+/// Round `r` lists its merges first, in the order of their pairs' keys
+/// `(−s, i, j)`, then the unmerged survivors in their previous order. By
+/// induction every list is sorted by this key, and the key is prefix-free
+/// and uses only global ids, so clusters from different components compare
+/// exactly as they would sit in one run's list.
+#[derive(Clone, Copy)]
+enum Origin {
+    Seed(u32),
+    Attr(AttrId),
+    Merge {
+        round: u32,
+        s: f64,
+        first: u32,
+        second: u32,
+    },
+}
 
 /// One cluster during Algorithm 1. Its members form a circular list
 /// through [`Clustering::next`]; its sources are one bitset row of
@@ -85,11 +300,13 @@ struct Cluster {
     keep: bool,
     /// Ever produced by a merge (size ≥ 2 growth); immune to elimination.
     formed_by_merge: bool,
+    /// Index into [`Clustering::origins`].
+    origin: u32,
 }
 
-/// Algorithm 1's working state over one selection. The selection's
-/// attributes are numbered locally in `AttrId` order, so no per-call
-/// structure grows with the universe.
+/// Algorithm 1's working state over a set of attributes: a whole selection,
+/// or the θ-components of one that the memo missed. The attributes are
+/// numbered locally, so no per-call structure grows with the universe.
 struct Clustering<'c> {
     cache: &'c SimilarityCache,
     /// Local index → attribute.
@@ -100,69 +317,119 @@ struct Clustering<'c> {
     next: Vec<u32>,
     /// Current clusters, in the order Algorithm 1 numbers them.
     clusters: Vec<Cluster>,
-    /// `u64` words per source bitset (one bit per selected source).
+    /// How every cluster ever built came to be.
+    origins: Vec<Origin>,
+    /// `u64` words per source bitset (one bit per source among `attrs`).
     words: usize,
     /// Row `c` (`words` wide) holds the sources of cluster `c`.
     srcs: Vec<u64>,
 }
 
+/// The attributes of `sources`, in `AttrId` order; `None` if a source is
+/// not in the universe.
+fn selection_attrs(universe: &Universe, sources: &BTreeSet<SourceId>) -> Option<Vec<AttrId>> {
+    let mut attrs = Vec::new();
+    for &sid in sources {
+        attrs.extend(universe.get(sid)?.attr_ids());
+    }
+    Some(attrs)
+}
+
+/// Each seed's members as indices into `attrs`; `None` if a seed names an
+/// attribute outside them.
+fn seed_members(attrs: &[AttrId], seeds: &[GlobalAttribute]) -> Option<Vec<Vec<usize>>> {
+    seeds
+        .iter()
+        .map(|seed| {
+            seed.attrs()
+                .iter()
+                .map(|a| attrs.binary_search(a).ok())
+                .collect()
+        })
+        .collect()
+}
+
+/// Each attribute's source numbered densely from 0, for `attrs` sorted by
+/// source.
+fn source_ranks(attrs: &[AttrId]) -> Vec<usize> {
+    let mut rank = 0;
+    (0..attrs.len())
+        .map(|l| {
+            if l > 0 && attrs[l - 1].source != attrs[l].source {
+                rank += 1;
+            }
+            rank
+        })
+        .collect()
+}
+
 impl<'c> Clustering<'c> {
-    /// Seeds the clusters: merged GA constraints first (kept), then every
-    /// remaining attribute as its own cluster. `None` if a seed names an
-    /// attribute outside the selection.
+    /// Seeds the clusters over a whole selection: merged GA constraints
+    /// first (kept), then every remaining attribute as its own cluster.
+    /// `None` if a seed names an attribute outside the selection.
+    #[cfg(test)]
     fn new(
         cache: &'c SimilarityCache,
         universe: &Universe,
         sources: &BTreeSet<SourceId>,
         seeds: &[GlobalAttribute],
     ) -> Option<Self> {
-        let mut attrs = Vec::new();
-        let mut src_of = Vec::new();
-        for (s, &sid) in sources.iter().enumerate() {
-            for attr in universe.get(sid)?.attr_ids() {
-                attrs.push(attr);
-                src_of.push(s);
-            }
-        }
+        let attrs = selection_attrs(universe, sources)?;
+        let seeds: Vec<(u32, Vec<usize>)> = (0u32..).zip(seed_members(&attrs, seeds)?).collect();
+        let src_of = source_ranks(&attrs);
+        Some(Clustering::seeded(cache, attrs, &src_of, &seeds))
+    }
+
+    /// Seeds the clusters over `attrs`: each `(seed index, members)` entry
+    /// first (kept), then every remaining attribute as its own cluster.
+    /// `src_of[l]` numbers the source of `attrs[l]` densely. Within one
+    /// θ-component the attributes must be in `AttrId` order, as Algorithm 1
+    /// numbers its initial clusters.
+    fn seeded(
+        cache: &'c SimilarityCache,
+        attrs: Vec<AttrId>,
+        src_of: &[usize],
+        seeds: &[(u32, Vec<usize>)],
+    ) -> Self {
+        let n = attrs.len();
+        let words = src_of.iter().max().map_or(0, |&r| (r + 1).div_ceil(64));
         let mut k = Clustering {
             cache,
             names: attrs.iter().map(|&a| cache.name_id(a)).collect(),
-            next: (0..attrs.len() as u32).collect(),
-            clusters: Vec::new(),
-            words: sources.len().div_ceil(64),
-            srcs: Vec::new(),
+            next: (0..n as u32).collect(),
+            clusters: Vec::with_capacity(n),
+            origins: Vec::with_capacity(2 * n),
+            words,
+            srcs: Vec::with_capacity(words * n),
             attrs,
         };
-        let mut seeded = vec![false; k.attrs.len()];
-        for seed in seeds {
-            let members = seed
-                .attrs()
-                .iter()
-                .map(|a| k.attrs.binary_search(a).ok())
-                .collect::<Option<Vec<usize>>>()?;
-            for &l in &members {
+        let mut seeded = vec![false; n];
+        for (index, members) in seeds {
+            for &l in members {
                 seeded[l] = true;
             }
-            k.push(&members, true, &src_of);
+            k.push(members, true, Origin::Seed(*index), src_of);
         }
-        for l in (0..k.attrs.len()).filter(|&l| !seeded[l]) {
-            k.push(&[l], false, &src_of);
+        for l in (0..n).filter(|&l| !seeded[l]) {
+            k.push(&[l], false, Origin::Attr(k.attrs[l]), src_of);
         }
-        Some(k)
+        k
     }
 
     /// Appends a cluster of `members` (local indices, non-empty).
-    fn push(&mut self, members: &[usize], keep: bool, src_of: &[usize]) {
+    fn push(&mut self, members: &[usize], keep: bool, origin: Origin, src_of: &[usize]) {
         let row = self.srcs.len();
         self.srcs.resize(row + self.words, 0);
         for &l in members {
             self.srcs[row + src_of[l] / 64] |= 1 << (src_of[l] % 64);
             self.next.swap(members[0], l);
         }
+        self.origins.push(origin);
         self.clusters.push(Cluster {
             head: members[0] as u32,
             keep,
             formed_by_merge: false,
+            origin: (self.origins.len() - 1) as u32,
         });
     }
 
@@ -175,10 +442,10 @@ impl<'c> Clustering<'c> {
             .map(|l| (self.names[l as usize], l))
             .collect();
         by_name.sort_unstable();
-        let groups: Vec<&[(u32, u32)]> = by_name.chunk_by(|x, y| x.0 == y.0).collect();
+        let groups = by_name.chunk_by(|x, y| x.0 == y.0);
         let mut edges = Vec::new();
-        for (g, ga) in groups.iter().enumerate() {
-            for (h, gb) in groups.iter().enumerate().skip(g) {
+        for (g, ga) in groups.clone().enumerate() {
+            for (h, gb) in groups.clone().enumerate().skip(g) {
                 let s = self.cache.sim_by_name_id(ga[0].0, gb[0].0);
                 let e = if s > 0.0 { s } else { 0.0 };
                 if e >= theta {
@@ -203,7 +470,12 @@ impl<'c> Clustering<'c> {
         let edges = self.edges(theta);
         let mut cid = vec![GONE; self.attrs.len()];
         let mut pairs: Vec<(f64, u32, u32)> = Vec::with_capacity(edges.len());
-        loop {
+        // Per-round buffers, reused: clusters only shrink.
+        let mut merged = vec![false; self.clusters.len()];
+        let mut mergecand = vec![false; self.clusters.len()];
+        let mut survivors: Vec<Cluster> = Vec::with_capacity(self.clusters.len());
+        let mut survivor_srcs: Vec<u64> = Vec::with_capacity(self.srcs.len());
+        for round in 1u32.. {
             let k = self.clusters.len();
             cid.fill(GONE);
             for (c, cl) in self.clusters.iter().enumerate() {
@@ -224,18 +496,22 @@ impl<'c> Clustering<'c> {
                 }
             }
             // Keep each cluster pair's best edge, then order best first with a
-            // deterministic tie-break on cluster indices.
+            // deterministic tie-break on cluster indices. The dedup does not
+            // change which merges happen (a pair's weaker edges come after its
+            // best one and find it merged or refused), but it keeps every
+            // pair scored by exactly its max-linkage similarity, which is what
+            // a merge's order key records.
             pairs.sort_unstable_by(|a, b| (a.1, a.2).cmp(&(b.1, b.2)).then(b.0.total_cmp(&a.0)));
             pairs.dedup_by_key(|p| (p.1, p.2));
             pairs.sort_unstable_by(|a, b| {
                 b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
             });
 
-            let mut merged = vec![false; k];
-            let mut mergecand = vec![false; k];
-            let mut survivors: Vec<Cluster> = Vec::new();
-            let mut survivor_srcs: Vec<u64> = Vec::new();
-            for &(_, i, j) in &pairs {
+            merged[..k].fill(false);
+            mergecand[..k].fill(false);
+            survivors.clear();
+            survivor_srcs.clear();
+            for &(s, i, j) in &pairs {
                 let (i, j) = (i as usize, j as usize);
                 match (merged[i], merged[j]) {
                     (false, false) => {
@@ -248,10 +524,17 @@ impl<'c> Clustering<'c> {
                             self.next.swap(ci.head as usize, cj.head as usize);
                             merged[i] = true;
                             merged[j] = true;
+                            self.origins.push(Origin::Merge {
+                                round,
+                                s,
+                                first: ci.origin,
+                                second: cj.origin,
+                            });
                             survivors.push(Cluster {
                                 head: ci.head,
                                 keep: ci.keep || cj.keep,
                                 formed_by_merge: true,
+                                origin: (self.origins.len() - 1) as u32,
                             });
                         }
                     }
@@ -271,8 +554,8 @@ impl<'c> Clustering<'c> {
                     survivor_srcs.extend_from_slice(self.row(c));
                 }
             }
-            self.clusters = survivors;
-            self.srcs = survivor_srcs;
+            std::mem::swap(&mut self.clusters, &mut survivors);
+            std::mem::swap(&mut self.srcs, &mut survivor_srcs);
 
             if !any_merge {
                 break;
@@ -281,39 +564,130 @@ impl<'c> Clustering<'c> {
     }
 
     /// Members of cluster `c`, sorted (local order is `AttrId` order).
+    #[cfg(test)]
     fn members(&self, c: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.members_into(c, &mut out);
+        out
+    }
+
+    /// Replaces `out` with the members of cluster `c`, sorted.
+    fn members_into(&self, c: usize, out: &mut Vec<u32>) {
         let head = self.clusters[c].head;
-        let mut out = vec![head];
+        out.clear();
+        out.push(head);
         let mut a = self.next[head as usize];
         while a != head {
             out.push(a);
             a = self.next[a as usize];
         }
         out.sort_unstable();
-        out
     }
 
-    /// The surviving clusters as GAs, each with its quality: the maximum
-    /// similarity between any two of its attributes (1.0 for singletons,
-    /// which only arise from user constraints).
-    fn into_gas(self) -> Option<Vec<(GlobalAttribute, f64)>> {
-        (0..self.clusters.len())
-            .map(|c| {
-                let members = self.members(c);
-                let mut quality = if members.len() < 2 { 1.0 } else { 0.0f64 };
-                for (x, &a) in members.iter().enumerate() {
-                    for &b in &members[x + 1..] {
-                        let s = self
-                            .cache
-                            .sim_by_name_id(self.names[a as usize], self.names[b as usize]);
-                        quality = quality.max(s);
-                    }
-                }
-                let ga = GlobalAttribute::try_new(members.iter().map(|&a| self.attrs[a as usize]));
-                Some((ga.ok()?, quality))
-            })
-            .collect()
+    /// Appends the order key of `origin` (see [`Origin`]) to `out`.
+    fn order_key(&self, origin: u32, out: &mut Vec<u64>) {
+        match self.origins[origin as usize] {
+            Origin::Seed(i) => out.extend([u64::MAX, 0, u64::from(i)]),
+            Origin::Attr(a) => out.extend([u64::MAX, 1, pack(a)]),
+            Origin::Merge {
+                round,
+                s,
+                first,
+                second,
+            } => {
+                // `total_cmp` order as unsigned bits, then inverted.
+                let bits = s.to_bits();
+                let ordered = if bits >> 63 == 1 {
+                    !bits
+                } else {
+                    bits | 1 << 63
+                };
+                out.extend([u64::MAX - u64::from(round), !ordered]);
+                self.order_key(first, out);
+                self.order_key(second, out);
+            }
+        }
     }
+
+    /// The surviving clusters, each with its order key and its quality: the
+    /// maximum similarity between any two of its attributes (1.0 for
+    /// singletons, which only arise from user constraints). Clusters are
+    /// split into `n` outcomes by `group_of` (indexed by local attribute).
+    fn into_outcomes(self, group_of: &[usize], n: usize) -> Option<Vec<ComponentOutcome>> {
+        let mut outcomes: Vec<(Vec<u64>, Vec<FinalCluster>)> =
+            (0..n).map(|_| (Vec::new(), Vec::new())).collect();
+        let mut members = Vec::new();
+        for c in 0..self.clusters.len() {
+            self.members_into(c, &mut members);
+            let mut quality = if members.len() < 2 { 1.0 } else { 0.0f64 };
+            for (x, &a) in members.iter().enumerate() {
+                for &b in &members[x + 1..] {
+                    let s = self
+                        .cache
+                        .sim_by_name_id(self.names[a as usize], self.names[b as usize]);
+                    quality = quality.max(s);
+                }
+            }
+            let ga = GlobalAttribute::try_new(members.iter().map(|&a| self.attrs[a as usize]));
+            let (keys, clusters) = &mut outcomes[group_of[members[0] as usize]];
+            let start = keys.len();
+            self.order_key(self.clusters[c].origin, keys);
+            clusters.push(FinalCluster {
+                key: start..keys.len(),
+                ga: ga.ok()?,
+                quality,
+            });
+        }
+        // Boxed slices hold no spare capacity: outcomes live in the memo.
+        let outcomes = outcomes.into_iter().map(|(keys, clusters)| {
+            (!clusters.is_empty()).then(|| {
+                Arc::new(Outcome {
+                    keys: keys.into(),
+                    clusters: clusters.into(),
+                })
+            })
+        });
+        Some(outcomes.collect())
+    }
+}
+
+/// The selection index in a bucketed `component << 32 | index` entry.
+fn local(entry: &u64) -> usize {
+    *entry as u32 as usize
+}
+
+/// Runs Algorithm 1 once over several components, each given as bucketed
+/// entries into `attrs` in `AttrId` order: the components do not interact,
+/// so the run splits back into one outcome per component.
+fn cluster_groups(
+    cache: &SimilarityCache,
+    theta: f64,
+    attrs: &[AttrId],
+    seed_of: &[u32],
+    groups: &[&[u64]],
+) -> Option<Vec<ComponentOutcome>> {
+    let src_rank = source_ranks(attrs);
+    let (mut run_attrs, mut src_of, mut group_of, mut tagged) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for (g, group) in groups.iter().enumerate() {
+        for x in *group {
+            let l = local(x);
+            if seed_of[l] != NO_SEED {
+                tagged.push((seed_of[l], run_attrs.len()));
+            }
+            run_attrs.push(attrs[l]);
+            src_of.push(src_rank[l]);
+            group_of.push(g);
+        }
+    }
+    tagged.sort_unstable();
+    let seeds: Vec<(u32, Vec<usize>)> = tagged
+        .chunk_by(|x, y| x.0 == y.0)
+        .map(|g| (g[0].0, g.iter().map(|&(_, p)| p).collect()))
+        .collect();
+    let mut clustering = Clustering::seeded(cache, run_attrs, &src_of, &seeds);
+    clustering.run(theta);
+    clustering.into_outcomes(&group_of, groups.len())
 }
 
 impl MatchOperator for ClusterMatcher {
@@ -344,23 +718,96 @@ impl MatchOperator for ClusterMatcher {
         {
             return MatchOutcome::Infeasible;
         }
-        let Some(mut clustering) = Clustering::new(&self.cache, universe, sources, &seeds) else {
+        let Some(attrs) = selection_attrs(universe, sources) else {
             return MatchOutcome::Infeasible;
         };
-        clustering.run(constraints.theta);
-        let Some(gas) = clustering.into_gas() else {
+        let Some(members) = seed_members(&attrs, &seeds) else {
             return MatchOutcome::Infeasible;
         };
-        let (gas, qualities): (Vec<_>, Vec<f64>) = gas.into_iter().unzip();
-        let schema = MediatedSchema::new(gas);
-        if !schema.is_valid_on(&constraints.required_sources) {
+        let theta = constraints.theta;
+        let partition = self.partition(theta, &seeds);
+        let mut seed_of = vec![NO_SEED; attrs.len()];
+        for (s, m) in (0u32..).zip(&members) {
+            for &l in m {
+                seed_of[l] = s;
+            }
+        }
+
+        // Bucket the selection by name component (component << 32 | local
+        // index), so each component's attributes stay in `AttrId` order.
+        let mut order: Vec<u64> = (0..attrs.len())
+            .map(|l| {
+                let name = self.cache.name_id(attrs[l]);
+                (u64::from(partition.component[name as usize]) << 32) | l as u64
+            })
+            .collect();
+        order.sort_unstable();
+        // Each component's memo key: `θ`, its size, its attributes, then
+        // `position << 32 | seed index` for each seeded attribute. A lone
+        // attribute with no seed has no θ-edge and is eliminated in round
+        // 1, so it is skipped.
+        let mut keys: Vec<u64> = Vec::with_capacity(3 * attrs.len());
+        let mut components: Vec<(&[u64], std::ops::Range<usize>)> = Vec::new();
+        for group in order.chunk_by(|x, y| x >> 32 == y >> 32) {
+            if group.len() == 1 && seed_of[local(&group[0])] == NO_SEED {
+                continue;
+            }
+            let start = keys.len();
+            keys.extend([theta.to_bits(), group.len() as u64]);
+            keys.extend(group.iter().map(|x| pack(attrs[local(x)])));
+            for (p, x) in group.iter().enumerate() {
+                if seed_of[local(x)] != NO_SEED {
+                    keys.push(((p as u64) << 32) | u64::from(seed_of[local(x)]));
+                }
+            }
+            components.push((group, start..keys.len()));
+        }
+
+        let mut outcomes: Vec<Option<ComponentOutcome>> = {
+            let mut memo = self.memo.lock().expect("component memo poisoned");
+            components
+                .iter()
+                .map(|(_, key)| memo.get(&keys[key.clone()]))
+                .collect()
+        };
+        let missed: Vec<usize> = (0..outcomes.len())
+            .filter(|&i| outcomes[i].is_none())
+            .collect();
+        if !missed.is_empty() {
+            let groups: Vec<&[u64]> = missed.iter().map(|&i| components[i].0).collect();
+            let Some(fresh) = cluster_groups(&self.cache, theta, &attrs, &seed_of, &groups) else {
+                return MatchOutcome::Infeasible;
+            };
+            let mut memo = self.memo.lock().expect("component memo poisoned");
+            for (&i, outcome) in missed.iter().zip(fresh) {
+                memo.insert(Box::from(&keys[components[i].1.clone()]), outcome.clone());
+                outcomes[i] = Some(outcome);
+            }
+        }
+
+        // Reassemble in one run's order, and sum `F1` in that order.
+        let mut clusters: Vec<(&[u64], &FinalCluster)> = outcomes
+            .iter()
+            .flatten()
+            .flatten()
+            .flat_map(|o| o.clusters.iter().map(|c| (&o.keys[c.key.clone()], c)))
+            .collect();
+        clusters.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        // The clusters are attribute-disjoint by construction, so the
+        // schema is valid iff it spans every required source.
+        if !constraints
+            .required_sources
+            .iter()
+            .all(|&s| clusters.iter().any(|(_, c)| c.ga.touches_source(s)))
+        {
             return MatchOutcome::Infeasible;
         }
-        let quality = if schema.is_empty() {
+        let quality = if clusters.is_empty() {
             0.0
         } else {
-            qualities.into_iter().sum::<f64>() / schema.len() as f64
+            clusters.iter().map(|(_, c)| c.quality).sum::<f64>() / clusters.len() as f64
         };
+        let schema = MediatedSchema::new(clusters.iter().map(|(_, c)| c.ga.clone()));
         MatchOutcome::Matched { schema, quality }
     }
 }
@@ -762,33 +1209,41 @@ mod tests {
         }
     }
 
-    /// A random universe, selection and constraint set from one seed: names
-    /// from a pool of near-variants (repeats within a source included),
-    /// GA seeds that may overlap or reach outside the selection.
-    fn random_case(seed: u64, theta: f64) -> (Universe, BTreeSet<SourceId>, Constraints) {
-        const POOL: [&str; 14] = [
-            "title",
-            "book title",
-            "title x",
-            "author",
-            "author name",
-            "writer",
-            "price",
-            "price x",
-            "isbn",
-            "isbn13",
-            "order date",
-            "order data",
-            "publisher",
-            "pub",
-        ];
+    /// Attribute names of the random cases: near-variants in several
+    /// families, so a universe has several name components.
+    const POOL: [&str; 14] = [
+        "title",
+        "book title",
+        "title x",
+        "author",
+        "author name",
+        "writer",
+        "price",
+        "price x",
+        "isbn",
+        "isbn13",
+        "order date",
+        "order data",
+        "publisher",
+        "pub",
+    ];
+
+    /// A xorshift draw in `0..n` from one seed.
+    fn drawer(seed: u64) -> impl FnMut(usize) -> usize {
         let mut state = seed | 1;
-        let mut draw = move |n: usize| {
+        move |n: usize| {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             (state % n as u64) as usize
-        };
+        }
+    }
+
+    /// A random universe, selection and constraint set from one seed: names
+    /// from a pool of near-variants (repeats within a source included),
+    /// GA seeds that may overlap or reach outside the selection.
+    fn random_case(seed: u64, theta: f64) -> (Universe, BTreeSet<SourceId>, Constraints) {
+        let mut draw = drawer(seed);
         let n_sources = 1 + draw(9);
         let mut b = Universe::builder();
         for i in 0..n_sources {
@@ -905,5 +1360,224 @@ mod tests {
                 _ => prop_assert_eq!(kernel, dense),
             }
         }
+    }
+
+    /// `match_sources` on a possibly warm matcher against the dense oracle:
+    /// the same outcome, GA order included, and `F1`'s bits.
+    fn check_against_oracle(
+        m: &ClusterMatcher,
+        u: &Universe,
+        sources: &BTreeSet<SourceId>,
+        c: &Constraints,
+    ) -> Result<(), TestCaseError> {
+        let got = m.match_sources(u, sources, c);
+        let want = oracle::match_sources(m, u, sources, c);
+        match (&got, &want) {
+            (
+                MatchOutcome::Matched {
+                    schema: s1,
+                    quality: q1,
+                },
+                MatchOutcome::Matched {
+                    schema: s2,
+                    quality: q2,
+                },
+            ) => {
+                prop_assert_eq!(s1, s2);
+                prop_assert_eq!(q1.to_bits(), q2.to_bits());
+            }
+            _ => prop_assert_eq!(got, want),
+        }
+        Ok(())
+    }
+
+    /// One matcher driven through a random walk of source adds and drops,
+    /// `θ` changes and GA-seed changes, checked against the oracle after
+    /// every step.
+    fn walk_against_oracle(
+        seed: u64,
+        steps: usize,
+        thetas: &[f64],
+        warped: bool,
+    ) -> Result<(), TestCaseError> {
+        let mut draw = drawer(seed);
+        let n_sources = 3 + draw(10);
+        let mut b = Universe::builder();
+        for i in 0..n_sources {
+            let attrs: Vec<&str> = (0..1 + draw(6)).map(|_| POOL[draw(POOL.len())]).collect();
+            b.add_source(SourceSpec::new(format!("s{i}"), Schema::new(attrs)));
+        }
+        let u = Arc::new(b.build().unwrap());
+        let m = if warped {
+            ClusterMatcher::new(Arc::clone(&u), Warped(JaccardNGram::trigram()))
+        } else {
+            ClusterMatcher::new(Arc::clone(&u), JaccardNGram::trigram())
+        };
+        // One fixed attribute per source keeps overlapping GA seeds mergeable.
+        let pick: Vec<AttrId> = u
+            .sources()
+            .map(|s| AttrId::new(s.id(), draw(s.schema().len()) as u32))
+            .collect();
+        let mut selection: BTreeSet<SourceId> = u.source_ids().filter(|_| draw(2) == 0).collect();
+        let mut theta = thetas[0];
+        let mut gas: Vec<GlobalAttribute> = Vec::new();
+        for _ in 0..steps {
+            match draw(10) {
+                0..=3 => {
+                    selection.insert(SourceId(draw(n_sources) as u32));
+                }
+                4..=6 => {
+                    selection.remove(&SourceId(draw(n_sources) as u32));
+                }
+                7 => theta = thetas[draw(thetas.len())],
+                8 => {
+                    let mut ids: Vec<usize> = (0..1 + draw(3)).map(|_| draw(n_sources)).collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    gas.push(GlobalAttribute::try_new(ids.iter().map(|&s| pick[s])).unwrap());
+                }
+                _ => gas.clear(),
+            }
+            let mut c = Constraints::with_max_sources(n_sources).theta(theta);
+            for ga in &gas {
+                c = c.require_ga(ga.clone());
+            }
+            check_against_oracle(&m, &u, &selection, &c)?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+        /// A memo-warm matcher stays equal to the dense oracle over a walk of
+        /// moves: reused component outcomes reassemble in one run's order.
+        #[test]
+        fn memo_warm_walk_matches_dense_oracle(seed in any::<u64>(), steps in 1usize..40, warped in any::<bool>()) {
+            walk_against_oracle(seed, steps, &[0.3, 0.5, 0.75, 1.0], warped)?;
+        }
+
+        /// At `θ = 0` every name pair is an edge, so each call is a single
+        /// component: the memo then keys whole selections.
+        #[test]
+        fn theta_zero_walk_matches_dense_oracle(seed in any::<u64>(), steps in 1usize..20) {
+            walk_against_oracle(seed, steps, &[0.0], false)?;
+        }
+    }
+
+    #[test]
+    fn theta_zero_partition_is_one_component() {
+        let (_, m) = build(&[&["title", "zzzz"], &["qqqq", "price"]]);
+        let p = m.partition(0.0, &[]);
+        assert!(p.component.iter().all(|&c| c == 0), "{:?}", p.component);
+        let p = m.partition(0.75, &[]);
+        let distinct: BTreeSet<u32> = p.component.iter().copied().collect();
+        assert_eq!(distinct.len(), 4);
+    }
+
+    /// A GA seed joining a `title` and a `price` attribute bridges two name
+    /// components: the partition must join them, and the warm matcher must
+    /// agree with the oracle before, with and after the seed.
+    #[test]
+    fn seed_bridging_two_name_components_matches_the_oracle() {
+        let (u, m) = build(&[
+            &["title", "price"],
+            &["title", "price"],
+            &["title", "price"],
+            &["book title", "isbn"],
+        ]);
+        let sources: BTreeSet<_> = u.source_ids().collect();
+        let plain = Constraints::with_max_sources(4).theta(0.75);
+        let bridge = GlobalAttribute::try_new([a(0, 0), a(1, 1)]).unwrap();
+        let seeded = plain.clone().require_ga(bridge.clone());
+        let title = m.cache.name_id(a(0, 0));
+        let price = m.cache.name_id(a(0, 1));
+        let p = m.partition(0.75, &[]);
+        assert_ne!(p.component[title as usize], p.component[price as usize]);
+        let p = m.partition(0.75, &seeded.merged_ga_seeds());
+        assert_eq!(p.component[title as usize], p.component[price as usize]);
+        for c in [&plain, &seeded, &plain, &seeded] {
+            check_against_oracle(&m, &u, &sources, c).unwrap();
+        }
+        let MatchOutcome::Matched { schema, .. } = m.match_sources(&u, &sources, &seeded) else {
+            panic!("expected a match");
+        };
+        assert!(schema.covers_gas(&[bridge]));
+        let stats = m.memo_stats();
+        assert!(stats.hits >= 2 && stats.misses >= 2, "{stats:?}");
+    }
+
+    /// `a` and `b` stay in one name component at θ = 0.5 and at 0.75
+    /// (through `c`), but their own edge exists only at 0.5: the same
+    /// attributes must not share a memo entry across `θ`.
+    #[test]
+    fn theta_is_part_of_the_memo_key() {
+        let mut b = Universe::builder();
+        for (name, attr) in [("s0", "a"), ("s1", "b"), ("s2", "c")] {
+            b.add_source(SourceSpec::new(name, Schema::new([attr])));
+        }
+        let u = Arc::new(b.build().unwrap());
+        let sims = Table(&[("a", "b", 0.6), ("a", "c", 0.8), ("b", "c", 0.8)]);
+        let m = ClusterMatcher::new(Arc::clone(&u), sims);
+        let sources: BTreeSet<_> = [SourceId(0), SourceId(1)].into();
+        for theta in [0.5, 0.75, 0.5, 0.75] {
+            let c = Constraints::with_max_sources(2).theta(theta);
+            check_against_oracle(&m, &u, &sources, &c).unwrap();
+        }
+        let low = Constraints::with_max_sources(2).theta(0.5);
+        let MatchOutcome::Matched { schema, .. } = m.match_sources(&u, &sources, &low) else {
+            panic!("expected a match");
+        };
+        assert_eq!(schema.len(), 1);
+        assert_eq!(m.memo_stats().misses, 2);
+    }
+
+    /// Pins, `m` and `β` do not change clustering, so calls differing only
+    /// in them reuse every component.
+    #[test]
+    fn memo_survives_pins_and_m() {
+        let (u, m) = build(&[&["title", "price"], &["title", "price"], &["title x"]]);
+        let sources: BTreeSet<_> = u.source_ids().collect();
+        let c = Constraints::with_max_sources(3).theta(0.5);
+        let first = m.match_sources(&u, &sources, &c);
+        let cold = m.memo_stats();
+        assert_eq!(cold.hits, 0);
+        for c in [
+            c.clone().require_source(SourceId(1)),
+            Constraints::with_max_sources(5).theta(0.5).beta(3),
+        ] {
+            assert_eq!(m.match_sources(&u, &sources, &c), first);
+        }
+        let warm = m.memo_stats();
+        assert_eq!(warm.misses, cold.misses);
+        assert_eq!(warm.hits, 2 * cold.misses);
+        assert_eq!(warm.entries, cold.entries);
+    }
+
+    /// The memo never holds more than its cap; a hit in the old generation
+    /// moves the entry to the young one.
+    #[test]
+    fn memo_keeps_at_most_its_cap() {
+        let mut memo = Memo::new(4);
+        let outcome: ComponentOutcome = None;
+        for k in 0..10u64 {
+            memo.insert(vec![k].into_boxed_slice(), outcome.clone());
+            assert!(memo.stats().entries <= 4);
+        }
+        // Keys 6 and 7 are old, 8 and 9 young. Promoting 6 ages 8 and 9
+        // and drops 7.
+        assert!(memo.get(&[6]).is_some());
+        assert!(memo.get(&[5]).is_none());
+        memo.insert(vec![10].into_boxed_slice(), outcome.clone());
+        assert!(memo.get(&[6]).is_some(), "promoted on its hit");
+        assert!(memo.get(&[7]).is_none(), "dropped with its generation");
+        assert_eq!(
+            memo.stats(),
+            MemoStats {
+                hits: 2,
+                misses: 2,
+                entries: 4
+            }
+        );
     }
 }

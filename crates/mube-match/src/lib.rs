@@ -48,7 +48,7 @@ pub mod ensemble;
 pub mod similarity;
 
 pub use cache::{theta_upper_bound, SimilarityCache};
-pub use cluster::ClusterMatcher;
+pub use cluster::{ClusterMatcher, MemoStats, COMPONENT_MEMO_CAP};
 pub use compound::{CompoundGa, CompoundSchema, Compounding, Derived};
 pub use ensemble::{Combine, Ensemble};
 pub use similarity::{JaccardNGram, NormalizedLevenshtein, Similarity, TokenDice};

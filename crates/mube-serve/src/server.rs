@@ -1733,6 +1733,20 @@ fn apply_action(session: &mut Session, action: &Fields) -> Result<(), ApiError> 
     Ok(())
 }
 
+/// Applies a feedback batch all or nothing: on the first refused action
+/// the session is left as it was, and the error names that action.
+fn apply_batch(session: &mut Session, actions: &[Fields]) -> Result<(), ApiError> {
+    session.atomically(|session| {
+        for (i, action) in actions.iter().enumerate() {
+            apply_action(session, action).map_err(|e| ApiError {
+                action: Some(i),
+                ..e
+            })?;
+        }
+        Ok(())
+    })
+}
+
 fn feedback(
     state: &ServerState,
     entry: &Arc<SessionEntry>,
@@ -1746,16 +1760,9 @@ fn feedback(
     };
     state.check_journalable(&event)?;
     let mut session = entry.session.lock().expect("session lock poisoned");
-    for (i, action) in actions.iter().enumerate() {
-        // Actions apply in order, so the failing index tells the caller
-        // that everything before it took effect.
-        apply_action(&mut session, action).map_err(|e| ApiError {
-            action: Some(i),
-            ..e
-        })?;
-    }
-    // Journal only after every action applied: replay applies the whole
-    // batch the same way, so a half-failed batch is never persisted.
+    apply_batch(&mut session, &actions)?;
+    // Journal only after the whole batch applied: replay applies it the
+    // same way, and a refused batch changed nothing to persist.
     state.journal_append(event);
     let constraints = session.constraints();
     let universe = session.universe();
@@ -1922,9 +1929,7 @@ pub(crate) fn replay_event(
                 .and_then(|f| f.objects("actions"))
                 .map_err(why)?;
             let mut s = entry.session.lock().expect("session lock poisoned");
-            for action in &actions {
-                apply_action(&mut s, action).map_err(why)?;
-            }
+            apply_batch(&mut s, &actions).map_err(why)?;
         }
         Event::Solve { session, solution } => {
             let entry = store

@@ -1115,3 +1115,63 @@ fn every_mistyped_field_is_a_400_naming_it() {
     join.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A feedback batch is all or nothing: when its second action is refused,
+/// the first one (a pin) must not stay in force — not in the live session,
+/// and not after a restart replays the journal.
+#[test]
+fn a_refused_feedback_batch_changes_nothing() {
+    let dir = std::env::temp_dir().join(format!("mube-refused-batch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || ServeConfig {
+        data_dir: Some(dir.to_string_lossy().into_owned()),
+        ..test_config(2)
+    };
+    let (handle, join) = Server::spawn(config()).expect("bind test server");
+    let addr = handle.addr();
+    let mut j = mube_core::jsonw::JsonBuf::new();
+    j.begin_obj();
+    j.key("catalog").str_value(TINY_CATALOG);
+    j.end_obj();
+    let (status, v) = request(addr, "POST", "/catalogs", &j.finish());
+    assert_eq!(status, 201, "{v:?}");
+    let catalog = v.get("catalog").and_then(Json::as_u64).unwrap();
+    let body = format!("{{\"catalog\":{catalog},\"max_sources\":2,\"theta\":0.3,\"beta\":1}}");
+    let (status, v) = request(addr, "POST", "/sessions", &body);
+    assert_eq!(status, 201, "{v:?}");
+    let session = v.get("session").and_then(Json::as_u64).unwrap();
+    let feedback = format!("/sessions/{session}/feedback");
+    let (status, v) = request(addr, "POST", &format!("/sessions/{session}/solve"), "");
+    assert_eq!(status, 200, "{v:?}");
+
+    let (status, v) = request(
+        addr,
+        "POST",
+        &feedback,
+        r#"{"actions":[{"op":"pin","source":"alpha"},{"op":"adopt_ga","index":999}]}"#,
+    );
+    assert_eq!(status, 409, "{v:?}");
+    assert_eq!(error_of(&v).0, Some("stale_ga_index"));
+    let action = v.get("error").and_then(|e| e.get("action"));
+    assert_eq!(action.and_then(Json::as_u64), Some(1), "{v:?}");
+
+    let pinned = |addr: SocketAddr| {
+        let (status, v) = request(addr, "POST", &feedback, r#"{"actions":[]}"#);
+        assert_eq!(status, 200, "{v:?}");
+        let pins = v.get("constraints").and_then(|c| c.get("pinned"));
+        pins.and_then(Json::as_array).map(<[Json]>::len)
+    };
+    assert_eq!(pinned(addr), Some(0), "the refused batch left its pin");
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+
+    let (handle, join) = Server::spawn(config()).expect("restart on the same data dir");
+    assert_eq!(
+        pinned(handle.addr()),
+        Some(0),
+        "replay differs from the live session"
+    );
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -202,3 +202,99 @@ fn continuity_still_honours_new_constraints() {
     assert!(sol.sources.contains(&unselected));
     assert!(sol.sources.len() <= 6);
 }
+
+/// Pins, `m` and weights do not change the clustering, so the matcher's
+/// component memo answers every re-evaluation after them; a new `θ`
+/// clusters afresh.
+#[test]
+fn component_memo_survives_feedback() {
+    let fx = Fixture::new(30, 12);
+    let mut session = fx.session(Constraints::with_max_sources(8).theta(0.5), 12);
+    let candidate: std::collections::BTreeSet<_> = fx.synth.universe.source_ids().take(6).collect();
+    let score = session.problem().objective(&candidate);
+    let cold = fx.matcher.memo_stats();
+    assert!(cold.misses > 0, "{cold:?}");
+
+    let pin = *candidate.iter().next().unwrap();
+    session.set_weight("coverage", 0.4).unwrap();
+    session.pin_source(pin).unwrap();
+    session.set_max_sources(7).unwrap();
+    assert_eq!(
+        session.problem().distinct_evaluations(),
+        0,
+        "objective memo cleared"
+    );
+    let _ = session.problem().objective(&candidate);
+    let warm = fx.matcher.memo_stats();
+    assert_eq!(warm.misses, cold.misses, "{warm:?}");
+    assert_eq!(warm.hits, cold.hits + cold.misses);
+
+    session.set_weight("coverage", 0.2).unwrap();
+    session.unpin_source(pin).unwrap();
+    session.set_max_sources(8).unwrap();
+    assert_eq!(
+        session.problem().objective(&candidate).to_bits(),
+        score.to_bits()
+    );
+    session.set_theta(0.6).unwrap();
+    let _ = session.problem().objective(&candidate);
+    assert!(fx.matcher.memo_stats().misses > warm.misses);
+}
+
+/// The component memo stays within its cap across many solves on one
+/// problem, checked after every matcher call: 12 solves with seeds 0–11
+/// over 200 sources at `m` = 20 miss far more components than the cap.
+#[test]
+fn component_memo_stays_within_its_cap() {
+    use mube_core::{MatchOperator, MatchOutcome, SourceId, Universe};
+    use mube_match::COMPONENT_MEMO_CAP;
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// Records the most memo entries seen after any call.
+    struct Probe {
+        inner: Arc<mube_match::ClusterMatcher>,
+        most: AtomicUsize,
+    }
+    impl MatchOperator for Probe {
+        fn match_sources(
+            &self,
+            universe: &Universe,
+            sources: &BTreeSet<SourceId>,
+            constraints: &Constraints,
+        ) -> MatchOutcome {
+            let out = self.inner.match_sources(universe, sources, constraints);
+            let entries = self.inner.memo_stats().entries;
+            // ordering: a statistic, read only after the solve returns.
+            self.most.fetch_max(entries, Ordering::Relaxed);
+            out
+        }
+    }
+
+    let fx = Fixture::new(200, 21);
+    let probe = Arc::new(Probe {
+        inner: Arc::clone(&fx.matcher),
+        most: AtomicUsize::new(0),
+    });
+    let problem = mube_core::Problem::new(
+        Arc::clone(&fx.synth.universe),
+        Arc::clone(&probe) as Arc<dyn MatchOperator>,
+        mube_core::qefs::paper_default_qefs("mttf"),
+        Constraints::with_max_sources(20),
+    )
+    .unwrap();
+    for seed in 0..12 {
+        problem
+            .solve(&mube_integration::ci_tabu(), seed)
+            .expect("feasible");
+        // ordering: read after the solve returned.
+        let most = probe.most.load(Ordering::Relaxed);
+        assert!(most <= COMPONENT_MEMO_CAP, "solve {seed}: {most} entries");
+    }
+    let stats = fx.matcher.memo_stats();
+    assert!(
+        stats.misses > 2 * COMPONENT_MEMO_CAP as u64,
+        "the cap was never reached: {stats:?}"
+    );
+}
