@@ -974,6 +974,66 @@ mod tests {
         assert!(run(parse(&["solve", &path, "--weight", "karma=0.5"]).unwrap()).is_err());
     }
 
+    /// The committed portfolio fixture with site0000's `characteristic
+    /// mttf` (catalog line 10) set to `value`, written to a temp file.
+    fn portfolio_with_mttf(value: &str) -> String {
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../fixtures/portfolio.catalog"
+        );
+        let text = std::fs::read_to_string(fixture).expect("portfolio fixture");
+        let old = "characteristic mttf 68.5288341067213";
+        assert_eq!(text.lines().nth(9).map(str::trim), Some(old));
+        let path = tmp(&format!("portfolio-mttf-{value}.catalog"));
+        std::fs::write(
+            &path,
+            text.replacen(old, &format!("characteristic mttf {value}"), 1),
+        )
+        .expect("write catalog");
+        path
+    }
+
+    /// A non-finite characteristic used to pass `lint` and then make a
+    /// pinned solve infeasible (NaN) or move the unpinned optimum (inf);
+    /// every command now refuses the catalog at its line.
+    #[test]
+    fn non_finite_characteristics_are_refused_with_their_line() {
+        for value in ["NaN", "inf", "-inf"] {
+            let path = portfolio_with_mttf(value);
+            let lint = ["lint", &path, "--max", "5", "--pin", "site0000"];
+            let pinned = [
+                "solve", &path, "--max", "5", "--seed", "1", "--pin", "site0000",
+            ];
+            let unpinned = ["solve", &path, "--max", "5", "--seed", "1"];
+            for argv in [&lint[..], &pinned, &unpinned, &["validate", &path]] {
+                match run(parse(argv).unwrap()) {
+                    Err(CliError::Engine(e @ MubeError::InvalidParameter { .. })) => {
+                        assert!(e.to_string().contains("catalog line 10"), "{argv:?}: {e}");
+                    }
+                    other => panic!("{argv:?}: expected a catalog error, got {other:?}"),
+                }
+            }
+        }
+        // A finite value, even a negative one, is still a catalog.
+        let path = portfolio_with_mttf("-1.5");
+        assert!(run(parse(&["validate", &path]).unwrap()).is_ok());
+    }
+
+    /// A catalog file that is not UTF-8 is an I/O error, not a panic.
+    #[test]
+    fn a_catalog_file_that_is_not_utf8_is_refused() {
+        let path = tmp("not-utf8.catalog");
+        std::fs::write(&path, b"source a\n  attr \xff\xfe title\n").expect("write catalog");
+        for argv in [&["validate", &path][..], &["solve", &path, "--max", "1"]] {
+            match run(parse(argv).unwrap()) {
+                Err(CliError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{argv:?}");
+                }
+                other => panic!("{argv:?}: expected an I/O error, got {other:?}"),
+            }
+        }
+    }
+
     /// Path to the committed known-infeasible fixture, resolved relative
     /// to the workspace root.
     fn infeasible_fixture() -> String {

@@ -64,8 +64,9 @@ pub fn to_text(universe: &Universe) -> String {
 /// Parses catalog text into a universe.
 ///
 /// Fails with a descriptive [`MubeError::InvalidParameter`] on malformed
-/// lines, and with the usual builder errors (empty universe/schema,
-/// mismatched signature configurations) at the end.
+/// lines (a non-finite `characteristic` value among them), and with the
+/// usual builder errors (empty universe/schema, mismatched signature
+/// configurations) at the end.
 pub fn from_text(text: &str) -> Result<Universe, MubeError> {
     let mut builder = Universe::builder();
     let mut current: Option<PendingSource> = None;
@@ -122,6 +123,13 @@ pub fn from_text(text: &str) -> Result<Universe, MubeError> {
                     .next()
                     .and_then(|w| w.parse::<f64>().ok())
                     .ok_or_else(|| err("`characteristic` needs a numeric value".into()))?;
+                // NaN and ±inf parse as f64 but poison every QEF that
+                // normalizes over the characteristic.
+                if !value.is_finite() {
+                    return Err(err(format!(
+                        "`characteristic {name}` needs a finite value, got {value}"
+                    )));
+                }
                 pending.characteristics.push((name.to_string(), value));
             }
             "signature" => {
@@ -279,6 +287,20 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_characteristics_rejected_with_their_line() {
+        for value in ["NaN", "nan", "inf", "-inf", "infinity", "+Infinity"] {
+            let text = format!("source x\n  attr a\n  characteristic mttf {value}\n");
+            let err = from_text(&text).unwrap_err();
+            assert!(matches!(err, MubeError::InvalidParameter { .. }), "{err}");
+            assert!(err.to_string().contains("line 3"), "{err}");
+            assert!(err.to_string().contains("finite"), "{err}");
+        }
+        // Finite negatives and huge finite values still parse.
+        let u = from_text("source x\n  attr a\n  characteristic mttf -2.5e300\n").unwrap();
+        assert_eq!(u.source(SourceId(0)).characteristics()["mttf"], -2.5e300);
+    }
+
+    #[test]
     fn empty_catalog_rejected() {
         assert!(matches!(
             from_text("# nothing\n"),
@@ -289,5 +311,167 @@ mod tests {
     #[test]
     fn source_without_attrs_rejected() {
         assert!(from_text("source x\n  cardinality 5\n").is_err());
+    }
+
+    /// Counts the parser must refuse without allocating for them: 2^40
+    /// signature bitmaps, and a cardinality one past `u64::MAX`.
+    #[test]
+    fn huge_counts_rejected_with_their_line() {
+        for bad in [
+            "signature 1099511627776 32 ab 1 2 3",
+            "cardinality 18446744073709551616",
+        ] {
+            let err = from_text(&format!("source x\n  attr a\n  {bad}\n")).unwrap_err();
+            assert!(err.to_string().contains("line 3"), "{bad}: {err}");
+        }
+    }
+
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Words the soup is made of: every keyword, and arguments at and
+        /// past each bound the parser checks.
+        const TOKENS: &[&str] = &[
+            "source",
+            "attr",
+            "cardinality",
+            "characteristic",
+            "signature",
+            "#",
+            "x",
+            "0",
+            "1",
+            "-1",
+            "3",
+            "4",
+            "32",
+            "64",
+            "65",
+            "ab",
+            "zz",
+            "NaN",
+            "inf",
+            "-inf",
+            "1e400",
+            "18446744073709551615",
+            "18446744073709551616",
+            "1099511627776",
+            "ffffffffffffffff",
+            "\t",
+            "\u{e9}",
+        ];
+
+        /// Lines of up to six tokens each.
+        fn token_soup() -> impl Strategy<Value = String> {
+            prop::collection::vec(prop::collection::vec(0..TOKENS.len(), 0..7), 0..16).prop_map(
+                |lines| {
+                    lines
+                        .iter()
+                        .map(|line| {
+                            line.iter()
+                                .map(|&t| TOKENS[t])
+                                .collect::<Vec<_>>()
+                                .join(" ")
+                        })
+                        .collect::<Vec<_>>()
+                        .join("\n")
+                },
+            )
+        }
+
+        /// A universe whose names survive the whitespace-split format,
+        /// with arbitrary finite characteristics (any bit pattern) and
+        /// signatures sharing one configuration.
+        fn universe() -> impl Strategy<Value = Universe> {
+            let attr = ("[a-z0-9_]{1,5}", "[a-z0-9.-]{0,4}").prop_map(|(a, b)| {
+                if b.is_empty() {
+                    a
+                } else {
+                    format!("{a} {b}")
+                }
+            });
+            let source = (
+                "[a-z0-9._-]{1,8}",
+                prop::collection::vec(attr, 1..5),
+                any::<u64>(),
+                prop::collection::vec((0usize..3, any::<u64>()), 0..4),
+                any::<bool>(),
+                prop::collection::vec(any::<u64>(), 16),
+            );
+            (
+                prop::collection::vec(source, 1..6),
+                0u32..5,
+                1u32..=64,
+                any::<u64>(),
+            )
+                .prop_map(|(sources, log_maps, map_bits, seed)| {
+                    let config = PcsaConfig::new(1 << log_maps, map_bits, seed);
+                    let mask = u64::MAX >> (64 - map_bits);
+                    let mut b = Universe::builder();
+                    for (i, (name, attrs, card, chars, signed, maps)) in
+                        sources.into_iter().enumerate()
+                    {
+                        let mut spec = SourceSpec::new(format!("{name} {i}"), Schema::new(attrs))
+                            .cardinality(card);
+                        for (k, bits) in chars {
+                            let v = f64::from_bits(bits);
+                            let name = ["mttf", "latency", "availability"][k];
+                            spec = spec.characteristic(name, if v.is_finite() { v } else { -0.0 });
+                        }
+                        if signed {
+                            let maps = maps[..config.num_maps()].iter().map(|m| m & mask);
+                            let sig = PcsaSignature::from_maps(config.clone(), maps.collect());
+                            spec = spec.signature(sig.expect("masked maps fit the config"));
+                        }
+                        b.add_source(spec);
+                    }
+                    b.build().expect("every source has attributes")
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+            /// Arbitrary bytes (read the way a server reads a body) never
+            /// panic the parser.
+            #[test]
+            fn byte_soup_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+                let _ = from_text(&String::from_utf8_lossy(&bytes));
+            }
+
+            /// Keyword-shaped input reaches every branch; it never panics,
+            /// and a refusal names its line.
+            #[test]
+            fn token_soup_never_panics(text in token_soup()) {
+                if let Err(e @ MubeError::InvalidParameter { .. }) = from_text(&text) {
+                    prop_assert!(e.to_string().contains("catalog line "), "{e}");
+                }
+            }
+
+            /// `from_text(to_text(u))` is `u`, characteristic bits and
+            /// signatures included, and re-renders to the same text.
+            #[test]
+            fn text_round_trips_generated_universes(u in universe()) {
+                let text = to_text(&u);
+                let back = from_text(&text)
+                    .map_err(|e| TestCaseError::fail(format!("{e}\n{text}")))?;
+                prop_assert_eq!(to_text(&back), text);
+                prop_assert_eq!(back.len(), u.len());
+                for (a, b) in u.sources().zip(back.sources()) {
+                    prop_assert_eq!(a.name(), b.name());
+                    prop_assert_eq!(a.schema(), b.schema());
+                    prop_assert_eq!(a.cardinality(), b.cardinality());
+                    prop_assert_eq!(a.signature(), b.signature());
+                    let bits = |s: &crate::source::Source| {
+                        s.characteristics()
+                            .iter()
+                            .map(|(n, v)| (n.clone(), v.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    prop_assert_eq!(bits(a), bits(b));
+                }
+            }
+        }
     }
 }

@@ -21,7 +21,7 @@ use std::fmt;
 pub const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
 
 /// `[len][crc]` header bytes before the payload.
-const HEADER_BYTES: usize = 8;
+pub(crate) const HEADER_BYTES: usize = 8;
 
 /// `[lsn][tag]` bytes at the start of every payload.
 const PREFIX_BYTES: usize = 9;
@@ -64,6 +64,8 @@ pub struct RawFrame<'a> {
     pub tag: u8,
     /// The body after the `[lsn][tag]` prefix.
     pub body: &'a [u8],
+    /// The whole frame, `[len][crc]` header included, as it was read.
+    pub bytes: &'a [u8],
 }
 
 /// Why [`parse_frame`] could not return a frame.
@@ -150,6 +152,7 @@ pub fn parse_frame(buf: &[u8]) -> Result<Option<(RawFrame<'_>, usize)>, FrameSto
         lsn: u64::from_le_bytes(payload[..8].try_into().expect("8 bytes")),
         tag: payload[8],
         body: &payload[PREFIX_BYTES..],
+        bytes: &buf[..end],
     };
     Ok(Some((frame, end)))
 }
@@ -215,6 +218,7 @@ mod tests {
             (first.lsn, first.tag, first.body, n),
             (7, 2, &b"xy"[..], 19)
         );
+        assert_eq!(first.bytes, &image[..n]);
         let (second, m) = parse_frame(&image[n..]).unwrap().unwrap();
         assert_eq!(
             (second.lsn, second.tag, second.body, m),

@@ -30,13 +30,14 @@
 //!   the directory scans clean and a server started on it replays to the
 //!   reported digest.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fs::{self, OpenOptions};
 use std::path::{Path, PathBuf};
 
 use crate::frame;
 use crate::persist::{
-    digest_events, prune_quarantines, quarantine_files, quarantine_path, write_snapshot, Event,
-    Live, Record, DEFAULT_QUARANTINE_KEEP,
+    digest, prune_quarantines, quarantine_files, quarantine_path, write_snapshot, Live, Record,
+    DEFAULT_QUARANTINE_KEEP,
 };
 use crate::repl::DIVERGED_MARKER;
 use mube_core::jsonw::JsonBuf;
@@ -227,21 +228,22 @@ fn check(dir: &Path) -> std::io::Result<FsckReport> {
             Record::Snapshot { .. } => {
                 issues.push(format!("snapshot.wal: stray snapshot header in record {i}"));
             }
-            Record::Event { lsn, .. } => {
+            Record::Event { frame, .. } => {
+                let lsn = frame.lsn;
                 if i == 0 {
                     issues.push("snapshot.wal: missing snapshot header".to_string());
-                } else if *lsn > horizon {
+                } else if lsn > horizon {
                     issues.push(format!(
                         "snapshot.wal: record {i} has lsn {lsn} beyond the \
                          snapshot horizon {horizon}"
                     ));
                 }
-                if let Some(prev) = prev_lsn.filter(|&p| *lsn <= p) {
+                if let Some(prev) = prev_lsn.filter(|&p| lsn <= p) {
                     issues.push(format!(
                         "snapshot.wal: record {i} breaks LSN monotonicity ({lsn} after {prev})"
                     ));
                 }
-                prev_lsn = Some(*lsn);
+                prev_lsn = Some(lsn);
             }
         }
     }
@@ -256,13 +258,14 @@ fn check(dir: &Path) -> std::io::Result<FsckReport> {
             Record::Snapshot { .. } => {
                 issues.push(format!("journal.wal: snapshot header in record {i}"));
             }
-            Record::Event { lsn, .. } => {
-                if let Some(prev) = prev_lsn.filter(|&p| *lsn <= p) {
+            Record::Event { frame, .. } => {
+                let lsn = frame.lsn;
+                if let Some(prev) = prev_lsn.filter(|&p| lsn <= p) {
                     issues.push(format!(
                         "journal.wal: record {i} breaks LSN monotonicity ({lsn} after {prev})"
                     ));
                 }
-                prev_lsn = Some(*lsn);
+                prev_lsn = Some(lsn);
                 tail_event_records += 1;
             }
         }
@@ -281,9 +284,9 @@ fn check(dir: &Path) -> std::io::Result<FsckReport> {
         snapshot: snap.file,
         journal: tail.file,
         through_lsn: live.through_lsn,
-        live_events: live.events.len() as u64,
+        live_events: live.frames.len() as u64,
         last_lsn: live.last_lsn(),
-        replay_digest: digest_events(&live.events),
+        replay_digest: digest(&live.frames),
         overlap_events: tail_event_records - live.tail_events(),
         quarantine_files: quarantine_files(dir).len() as u64,
         diverged,
@@ -319,8 +322,7 @@ fn repair(dir: &Path, opts: &FsckOptions) -> std::io::Result<Vec<String>> {
     // Everything recoverable, one record per LSN. Good-prefix records win
     // ties (salvage can only re-find identical frames, but be explicit).
     let mut through_lsn = 0u64;
-    let mut live: Vec<(u64, Event)> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
+    let mut live = BTreeMap::new();
     let all = snap
         .records
         .iter()
@@ -334,9 +336,9 @@ fn repair(dir: &Path, opts: &FsckOptions) -> std::io::Result<Vec<String>> {
             Record::Snapshot { through_lsn: t } => {
                 through_lsn = through_lsn.max(*t);
             }
-            Record::Event { lsn, event } => {
-                if seen.insert(*lsn) {
-                    live.push((*lsn, event.clone()));
+            Record::Event { frame, .. } => {
+                if let Entry::Vacant(slot) = live.entry(frame.lsn) {
+                    slot.insert(frame.clone());
                     if !from_prefix {
                         salvaged_used += 1;
                     }
@@ -344,10 +346,8 @@ fn repair(dir: &Path, opts: &FsckOptions) -> std::io::Result<Vec<String>> {
             }
         }
     }
-    live.sort_by_key(|&(lsn, _)| lsn);
-    let last_lsn = live
-        .last()
-        .map_or(through_lsn, |&(lsn, _)| lsn.max(through_lsn));
+    let live: Vec<_> = live.into_values().collect();
+    let last_lsn = live.last().map_or(through_lsn, |f| f.lsn.max(through_lsn));
     if salvaged_used > 0 {
         repairs.push(format!(
             "salvaged {salvaged_used} records past the corruption"
@@ -499,7 +499,7 @@ impl FsckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::{encode_event_frame, FsyncPolicy, Journal, SolutionRecord};
+    use crate::persist::{encode_event_frame, Event, FsyncPolicy, Journal, SolutionRecord};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static TEST_DIR_SEQ: AtomicU64 = AtomicU64::new(0);

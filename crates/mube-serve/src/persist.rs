@@ -35,11 +35,11 @@
 //! but installing the recorded incumbent keeps the session history — and
 //! therefore every future seed derivation and warm start — byte-identical.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mube_core::{AttrId, GlobalAttribute, MediatedSchema, Solution, SourceId};
@@ -58,9 +58,6 @@ struct Enc {
 }
 
 impl Enc {
-    fn new() -> Self {
-        Enc { buf: Vec::new() }
-    }
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -112,8 +109,14 @@ impl<'a> Dec<'a> {
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
+    /// Refuses any byte but 0 and 1, so decoding is canonical: a body
+    /// that decodes is exactly the encoding of what it decodes to.
     fn bool(&mut self) -> DecodeResult<bool> {
-        Ok(self.u8()? != 0)
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("invalid bool byte {b}")),
+        }
     }
     fn str(&mut self) -> DecodeResult<String> {
         let len = self.u32()? as usize;
@@ -409,7 +412,11 @@ impl Event {
 /// Encodes one event as a frame; refuses (`InvalidInput`) an event over
 /// the frame bound.
 pub fn encode_event_frame(lsn: u64, event: &Event) -> std::io::Result<Vec<u8>> {
-    let mut enc = Enc::new();
+    // Sized once: growing by doubling costs the hot append path a
+    // reallocation per power of two of the body.
+    let mut enc = Enc {
+        buf: Vec::with_capacity(event.body_len()),
+    };
     event.encode_body(&mut enc);
     encode_frame(lsn, event.tag(), &enc.buf)
 }
@@ -420,7 +427,7 @@ pub fn encode_event_frame(lsn: u64, event: &Event) -> std::io::Result<Vec<u8>> {
 pub(crate) fn write_snapshot(
     dir: &Path,
     through_lsn: u64,
-    live: &[(u64, Event)],
+    live: &[LiveFrame],
 ) -> std::io::Result<()> {
     let tmp = dir.join("snapshot.tmp");
     {
@@ -431,8 +438,8 @@ pub(crate) fn write_snapshot(
             TAG_SNAPSHOT,
             &header,
         )?)?;
-        for (lsn, event) in live {
-            f.write_all(&encode_event_frame(*lsn, event)?)?;
+        for frame in live {
+            f.write_all(&frame.bytes)?;
         }
         f.sync_all()?;
     }
@@ -447,13 +454,38 @@ pub(crate) fn write_snapshot(
 }
 
 // ---------------------------------------------------------------------------
-// File scanning
+// Live frames and file scanning
 // ---------------------------------------------------------------------------
+
+/// One live record, in the only form the journal keeps it in memory: the
+/// frame bytes written at append (or read back at boot), plus the two
+/// facts compaction and the digest need without decoding them.
+#[derive(Clone)]
+pub(crate) struct LiveFrame {
+    pub(crate) lsn: u64,
+    /// The session the event belongs to ([`Event::session_id`]).
+    session: Option<u64>,
+    /// Whether the event is a `SessionDelete`.
+    delete: bool,
+    /// The whole frame, `[len][crc][lsn][tag][body]`.
+    pub(crate) bytes: Arc<[u8]>,
+}
+
+impl LiveFrame {
+    fn new(lsn: u64, event: &Event, bytes: Arc<[u8]>) -> LiveFrame {
+        LiveFrame {
+            lsn,
+            session: event.session_id(),
+            delete: matches!(event, Event::SessionDelete { .. }),
+            bytes,
+        }
+    }
+}
 
 /// One decoded record.
 pub(crate) enum Record {
     Snapshot { through_lsn: u64 },
-    Event { lsn: u64, event: Event },
+    Event { frame: LiveFrame, event: Event },
 }
 
 impl Record {
@@ -469,7 +501,7 @@ impl Record {
         }
         Event::decode(frame)
             .map(|event| Record::Event {
-                lsn: frame.lsn,
+                frame: LiveFrame::new(frame.lsn, &event, frame.bytes.into()),
                 event,
             })
             .map_err(|e| format!("undecodable record: {e}"))
@@ -479,18 +511,20 @@ impl Record {
 /// A WAL file's bytes; an absent file reads as empty.
 fn read_wal(path: &Path) -> std::io::Result<Vec<u8>> {
     match fs::read(path) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(Vec::new()),
         read => read,
     }
 }
 
-/// The live event set a boot over a snapshot scan and a tail scan loads.
+/// The live record set a boot over a snapshot scan and a tail scan loads.
 pub(crate) struct Live {
-    /// Snapshot members, then tail events past the horizon, in LSN order.
-    pub(crate) events: Vec<(u64, Event)>,
+    /// Snapshot members, then tail frames past the horizon, in LSN order.
+    pub(crate) frames: Vec<LiveFrame>,
+    /// The events `frames` carry, in the same order.
+    pub(crate) events: Vec<Event>,
     /// The snapshot header's compaction horizon (0 without one).
     pub(crate) through_lsn: u64,
-    /// How many of `events` came from the snapshot.
+    /// How many of `frames` came from the snapshot.
     pub(crate) snapshot_events: u64,
 }
 
@@ -501,23 +535,25 @@ impl Live {
     /// tail truncation), sorted by LSN.
     pub(crate) fn fold(snapshot: Vec<Record>, tail: Vec<Record>) -> Live {
         let mut through_lsn = 0u64;
-        let mut events = Vec::new();
+        let mut records = Vec::new();
         for rec in snapshot {
             match rec {
                 Record::Snapshot { through_lsn: t } => through_lsn = t,
-                Record::Event { lsn, event } => events.push((lsn, event)),
+                Record::Event { frame, event } => records.push((frame, event)),
             }
         }
-        let snapshot_events = events.len() as u64;
+        let snapshot_events = records.len() as u64;
         for rec in tail {
-            if let Record::Event { lsn, event } = rec {
-                if lsn > through_lsn {
-                    events.push((lsn, event));
+            if let Record::Event { frame, event } = rec {
+                if frame.lsn > through_lsn {
+                    records.push((frame, event));
                 }
             }
         }
-        events.sort_by_key(|&(lsn, _)| lsn);
+        records.sort_by_key(|(frame, _)| frame.lsn);
+        let (frames, events) = records.into_iter().unzip();
         Live {
+            frames,
             events,
             through_lsn,
             snapshot_events,
@@ -526,14 +562,14 @@ impl Live {
 
     /// Events that came from the tail.
     pub(crate) fn tail_events(&self) -> u64 {
-        self.events.len() as u64 - self.snapshot_events
+        self.frames.len() as u64 - self.snapshot_events
     }
 
-    /// The highest LSN covered: the last event's, or the horizon.
+    /// The highest LSN covered: the last frame's, or the horizon.
     pub(crate) fn last_lsn(&self) -> u64 {
-        self.events
+        self.frames
             .last()
-            .map_or(self.through_lsn, |&(lsn, _)| lsn.max(self.through_lsn))
+            .map_or(self.through_lsn, |f| f.lsn.max(self.through_lsn))
     }
 }
 
@@ -640,10 +676,10 @@ struct JournalInner {
     policy: FsyncPolicy,
     last_sync: Instant,
     next_lsn: u64,
-    /// In-memory mirror of every live event (snapshot + tail), in LSN
+    /// In-memory mirror of every live frame (snapshot + tail), in LSN
     /// order. Kept under the same lock as the tail file so compaction
     /// never needs any other lock — handlers append and move on.
-    live: Vec<(u64, Event)>,
+    live: Vec<LiveFrame>,
     tail_records: u64,
     snapshot_every: u64,
     appends: u64,
@@ -717,7 +753,6 @@ impl Journal {
         report.snapshot_events = live.snapshot_events;
         report.tail_events = live.tail_events();
         let next_lsn = live.last_lsn() + 1;
-        let events: Vec<Event> = live.events.iter().map(|(_, e)| e.clone()).collect();
 
         let tail = OpenOptions::new()
             .create(true)
@@ -731,7 +766,7 @@ impl Journal {
                 last_sync: Instant::now(),
                 next_lsn,
                 tail_records: report.tail_events,
-                live: live.events,
+                live: live.frames,
                 snapshot_every: snapshot_every.max(1),
                 appends: 0,
                 snapshots: 0,
@@ -741,7 +776,7 @@ impl Journal {
                 last_drop_through: live.through_lsn,
             }),
         };
-        Ok((journal, events, report))
+        Ok((journal, live.events, report))
     }
 
     /// Appends one event, applying the fsync policy, and compacts into a
@@ -751,64 +786,58 @@ impl Journal {
     }
 
     /// Like [`Journal::append`], but also returns the assigned LSN and the
-    /// encoded wire frame, so a replication hub can ship the exact bytes
-    /// that hit the local disk.
-    pub fn append_frame(&self, event: Event) -> std::io::Result<(u64, Vec<u8>)> {
+    /// frame, so a replication hub can ship the exact bytes that hit the
+    /// local disk. This is where an [`Event`] is encoded, once: every later
+    /// reader of the record uses these bytes.
+    pub fn append_frame(&self, event: Event) -> std::io::Result<(u64, Arc<[u8]>)> {
         let mut inner = self.inner.lock().expect("journal lock poisoned");
         let lsn = inner.next_lsn;
-        self.append_locked(&mut inner, lsn, event)
-    }
-
-    /// Appends one event at an *explicit* LSN — the follower apply path,
-    /// which must preserve the leader's numbering so state digests are
-    /// computed over identical `(lsn, event)` streams. `lsn` must be at
-    /// least `next_lsn`; gaps are allowed (the leader may have compacted),
-    /// regressions are not.
-    pub fn append_at(&self, lsn: u64, event: Event) -> std::io::Result<(u64, Vec<u8>)> {
-        let mut inner = self.inner.lock().expect("journal lock poisoned");
-        if lsn < inner.next_lsn {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "replicated LSN {lsn} regresses below local next LSN {}",
-                    inner.next_lsn
-                ),
-            ));
-        }
-        self.append_locked(&mut inner, lsn, event)
-    }
-
-    fn append_locked(
-        &self,
-        inner: &mut JournalInner,
-        lsn: u64,
-        event: Event,
-    ) -> std::io::Result<(u64, Vec<u8>)> {
         // Encode first: a refused event leaves the LSN, mirror and tail
         // untouched.
-        let frame = encode_event_frame(lsn, &event)?;
-        inner.next_lsn = lsn + 1;
-        inner.tail.write_all(&frame)?;
-        match inner.policy {
-            FsyncPolicy::Always => {
-                inner.tail.sync_data()?;
-                inner.last_sync = Instant::now();
-            }
-            FsyncPolicy::Interval(iv) => {
-                if inner.last_sync.elapsed() >= iv {
-                    inner.tail.sync_data()?;
-                    inner.last_sync = Instant::now();
-                }
-            }
-            FsyncPolicy::Never => {}
+        let frame = LiveFrame::new(lsn, &event, encode_event_frame(lsn, &event)?.into());
+        let bytes = Arc::clone(&frame.bytes);
+        self.commit_locked(&mut inner, frame)?;
+        Ok((lsn, bytes))
+    }
+
+    /// Appends a frame received from the leader verbatim, at the leader's
+    /// LSN, and returns the event it carries for the caller to apply. The
+    /// LSN must be at least `next_lsn` — gaps are allowed (the leader may
+    /// have compacted), regressions are not — and the body must decode.
+    pub(crate) fn append_at(&self, frame: RawFrame<'_>) -> std::io::Result<Event> {
+        let mut inner = self.inner.lock().expect("journal lock poisoned");
+        let (lsn, next) = (frame.lsn, inner.next_lsn);
+        if lsn < next {
+            let why = format!("replicated LSN {lsn} regresses below local next LSN {next}");
+            return Err(std::io::Error::new(ErrorKind::InvalidInput, why));
         }
-        inner.live.push((lsn, event));
+        let event =
+            Event::decode(frame).map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
+        self.commit_locked(&mut inner, LiveFrame::new(lsn, &event, frame.bytes.into()))?;
+        Ok(event)
+    }
+
+    /// Writes one frame to the tail, applies the fsync policy, mirrors it,
+    /// and compacts once the tail reaches the snapshot cadence.
+    fn commit_locked(&self, inner: &mut JournalInner, frame: LiveFrame) -> std::io::Result<()> {
+        inner.next_lsn = frame.lsn + 1;
+        inner.tail.write_all(&frame.bytes)?;
+        let sync = match inner.policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::Interval(iv) => inner.last_sync.elapsed() >= iv,
+            FsyncPolicy::Never => false,
+        };
+        if sync {
+            inner.tail.sync_data()?;
+            inner.last_sync = Instant::now();
+        }
+        inner.live.push(frame);
         inner.tail_records += 1;
         inner.appends += 1;
         if inner.tail_records >= inner.snapshot_every {
             self.compact_locked(inner)?;
         }
-        Ok((lsn, frame))
+        Ok(())
     }
 
     /// The highest LSN assigned so far (0 when the journal is empty).
@@ -818,46 +847,29 @@ impl Journal {
     }
 
     /// A deterministic digest of the replayed store: FNV-1a 64 over the
-    /// live `(lsn, tag, body)` stream *after* dropping deleted sessions'
-    /// events. The filter makes the digest invariant under compaction
-    /// timing — leader and follower agree at a common LSN no matter when
-    /// each of them last compacted — and because the store is a pure
-    /// function of these events (byte-identical replay), equal digests at
-    /// equal LSNs mean byte-identical stores. Returns `(last_lsn, digest)`.
+    /// `[lsn][tag][body]` payloads of the live frames *after* dropping
+    /// deleted sessions' records. The filter makes the digest invariant
+    /// under compaction timing — leader and follower agree at a common LSN
+    /// no matter when each of them last compacted — and because the store
+    /// is a pure function of these events (byte-identical replay), equal
+    /// digests at equal LSNs mean byte-identical stores. Returns
+    /// `(last_lsn, digest)`.
     pub fn state_digest(&self) -> (u64, u64) {
         let inner = self.inner.lock().expect("journal lock poisoned");
-        (inner.next_lsn - 1, digest_events(&inner.live))
+        (inner.next_lsn - 1, digest(&inner.live))
     }
 
-    /// Encoded wire frames for every live event with `lsn > after`, in LSN
-    /// order — the catch-up backlog for a follower acked at `after`.
-    /// Returns `None` when `after` is behind the drop horizon of a past
-    /// compaction: frames the follower never saw are gone, so it must
-    /// full-resync instead.
-    pub fn frames_after(&self, after: u64) -> Option<Vec<Vec<u8>>> {
+    /// The catch-up backlog for a follower acked at `after`: whether it
+    /// must reset first, and the frames to send, in LSN order. Behind the
+    /// drop horizon of a past compaction, frames the follower never saw
+    /// are gone, so it resets and takes the whole live set; otherwise it
+    /// gets the live frames with `lsn > after`.
+    pub fn frames_after(&self, after: u64) -> (bool, Vec<Arc<[u8]>>) {
         let inner = self.inner.lock().expect("journal lock poisoned");
-        if after < inner.last_drop_through {
-            return None;
-        }
-        Some(
-            inner
-                .live
-                .iter()
-                .filter(|&&(lsn, _)| lsn > after)
-                .map(|(lsn, event)| live_frame(*lsn, event))
-                .collect(),
-        )
-    }
-
-    /// Encoded wire frames for the entire live set — the full-resync
-    /// payload sent after a `RESET`.
-    pub fn all_frames(&self) -> Vec<Vec<u8>> {
-        let inner = self.inner.lock().expect("journal lock poisoned");
-        inner
-            .live
-            .iter()
-            .map(|(lsn, event)| live_frame(*lsn, event))
-            .collect()
+        let reset = after < inner.last_drop_through;
+        let after = if reset { 0 } else { after };
+        let frames = inner.live.iter().filter(|f| f.lsn > after);
+        (reset, frames.map(|f| Arc::clone(&f.bytes)).collect())
     }
 
     /// Discards all local state (live events, tail, snapshot) ahead of a
@@ -901,7 +913,7 @@ impl Journal {
     }
 
     /// One scrub pass: re-reads `snapshot.wal` and `journal.wal` from disk,
-    /// rebuilds the live event stream exactly as boot recovery would, and
+    /// rebuilds the live frame set exactly as boot recovery would, and
     /// compares its digest against the in-memory mirror. Runs under the
     /// journal lock, so the files are quiescent for the duration (appends
     /// briefly queue behind it) and the comparison is exact, not racy.
@@ -920,8 +932,8 @@ impl Journal {
                 let why = scan.corruption.as_ref()?;
                 Some(format!("{name}: {why} at byte {}", scan.good_len))
             });
-        let disk_digest = digest_events(&Live::fold(snap_scan.records, tail_scan.records).events);
-        let memory_digest = digest_events(&inner.live);
+        let disk_digest = digest(&Live::fold(snap_scan.records, tail_scan.records).frames);
+        let memory_digest = digest(&inner.live);
         let ok = corruption.is_none() && disk_digest == memory_digest;
         Ok(ScrubReport {
             last_lsn: inner.next_lsn - 1,
@@ -932,22 +944,19 @@ impl Journal {
         })
     }
 
-    /// Drops deleted sessions' events, writes a fresh snapshot atomically,
-    /// and truncates the tail. Caller holds the journal lock; no other lock
-    /// is touched, so compaction can never deadlock against handlers.
+    /// Drops deleted sessions' records, writes a fresh snapshot
+    /// atomically, and truncates the tail. Caller holds the journal lock; no
+    /// other lock is touched, so compaction can never deadlock against
+    /// handlers.
     fn compact_locked(&self, inner: &mut JournalInner) -> std::io::Result<()> {
-        let deleted = deleted_sessions(&inner.live);
-        let before = inner.live.len();
-        inner.live.retain(|(_, e)| match e.session_id() {
-            Some(s) => !deleted.contains(&s),
-            None => true,
-        });
+        let kept: Vec<LiveFrame> = undeleted(&inner.live).cloned().collect();
         let through_lsn = inner.next_lsn - 1;
-        if inner.live.len() < before {
+        if kept.len() < inner.live.len() {
             // Events are gone for good: followers acked before this horizon
             // can no longer catch up incrementally.
             inner.last_drop_through = through_lsn;
         }
+        inner.live = kept;
         write_snapshot(&self.dir, through_lsn, &inner.live)?;
         // Crash window here is benign: boot skips tail LSNs <= through_lsn.
         inner.tail.set_len(0)?;
@@ -960,47 +969,31 @@ impl Journal {
     }
 }
 
-/// The frame of a live event: it was framed once already when appended,
-/// so it fits the bound.
-fn live_frame(lsn: u64, event: &Event) -> Vec<u8> {
-    encode_event_frame(lsn, event).expect("a live event fits a frame")
-}
-
-/// FNV-1a 64 over the deleted-filtered `(lsn, tag, body)` stream — the
-/// shared digest kernel behind [`Journal::state_digest`], the background
-/// scrubber, and `mube fsck`. Equal digests over equal LSN ranges mean
-/// byte-identical replayed stores.
-pub(crate) fn digest_events(live: &[(u64, Event)]) -> u64 {
-    let deleted = deleted_sessions(live);
+/// FNV-1a 64 over the `[lsn][tag][body]` payload of every live frame whose
+/// session was not deleted — the shared digest kernel behind
+/// [`Journal::state_digest`], the background scrubber, and `mube fsck`.
+/// Equal digests over equal LSN ranges mean byte-identical replayed
+/// stores.
+pub(crate) fn digest(live: &[LiveFrame]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut fnv = |bytes: &[u8]| {
-        for &b in bytes {
+    for frame in undeleted(live) {
+        for &b in &frame.bytes[frame::HEADER_BYTES..] {
             hash ^= u64::from(b);
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
-    };
-    let mut enc = Enc::new();
-    for (lsn, event) in live {
-        if event.session_id().is_some_and(|s| deleted.contains(&s)) {
-            continue;
-        }
-        enc.buf.clear();
-        event.encode_body(&mut enc);
-        fnv(&lsn.to_le_bytes());
-        fnv(&[event.tag()]);
-        fnv(&enc.buf);
     }
     hash
 }
 
-/// Sessions with a `SessionDelete` in `live`.
-fn deleted_sessions(live: &[(u64, Event)]) -> std::collections::HashSet<u64> {
+/// The frames of `live` whose session has no `SessionDelete` in `live`.
+fn undeleted(live: &[LiveFrame]) -> impl Iterator<Item = &LiveFrame> {
+    let deleted: HashSet<u64> = live
+        .iter()
+        .filter(|f| f.delete)
+        .filter_map(|f| f.session)
+        .collect();
     live.iter()
-        .filter_map(|(_, e)| match e {
-            Event::SessionDelete { session } => Some(*session),
-            _ => None,
-        })
-        .collect()
+        .filter(move |f| !f.session.is_some_and(|s| deleted.contains(&s)))
 }
 
 /// First unused `quarantine-N.wal` path in `dir`.
@@ -1052,6 +1045,15 @@ pub(crate) fn prune_quarantines(dir: &Path, keep: u64) -> u64 {
 }
 
 #[cfg(test)]
+impl Journal {
+    /// Swaps the tail for a read-only handle, so every later append fails.
+    pub(crate) fn make_tail_read_only(&self) {
+        let mut inner = self.inner.lock().expect("journal lock poisoned");
+        inner.tail = File::open(self.dir.join("journal.wal")).expect("reopen the tail");
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1081,6 +1083,18 @@ mod tests {
             catalog_id: catalog,
             body: format!("{{\"catalog\":{catalog},\"seed\":{id}}}"),
         }
+    }
+
+    /// The mirror entry an append of `event` at `lsn` makes.
+    fn live(lsn: u64, event: &Event) -> LiveFrame {
+        LiveFrame::new(lsn, event, encode_event_frame(lsn, event).unwrap().into())
+    }
+
+    /// Appends `event` to `j` the way a follower does: as a received frame
+    /// at the leader's `lsn`.
+    fn append_received(j: &Journal, lsn: u64, event: &Event) -> std::io::Result<Event> {
+        let bytes = encode_event_frame(lsn, event).unwrap();
+        j.append_at(frame::parse_frame(&bytes).unwrap().unwrap().0)
     }
 
     fn ev_solve(session: u64) -> Event {
@@ -1183,7 +1197,12 @@ mod tests {
         tail.extend_from_slice(&encode_event_frame(3, &ev_solve(1)).unwrap());
         fs::write(dir.join("journal.wal"), &tail).unwrap();
         // Snapshot covers LSN <= 2 and already contains those events.
-        write_snapshot(&dir, 2, &[(1, ev_catalog(1)), (2, ev_session(1, 1))]).unwrap();
+        write_snapshot(
+            &dir,
+            2,
+            &[live(1, &ev_catalog(1)), live(2, &ev_session(1, 1))],
+        )
+        .unwrap();
 
         let (_, replayed, report) = Journal::open(&dir, FsyncPolicy::Never, 1000).unwrap();
         assert_eq!(
@@ -1255,7 +1274,8 @@ mod tests {
         assert_eq!(report.quarantined_bytes, 0);
         assert_eq!(replayed, vec![ev_catalog(1), ev_session(1, 1)]);
         let lsns: Vec<u64> = j
-            .all_frames()
+            .frames_after(0)
+            .1
             .iter()
             .map(|f| frame::parse_frame(f).unwrap().unwrap().0.lsn)
             .collect();
@@ -1341,6 +1361,50 @@ mod tests {
         fs::remove_dir_all(&d2).unwrap();
     }
 
+    /// The state digest's value for a fixed stream — all five event tags
+    /// and a delete — pinned as a literal, under eager and lazy compaction
+    /// and across a reopen. Followers compare this value against the
+    /// leader's, so how it is computed must never drift.
+    #[test]
+    fn state_digest_is_pinned_for_a_fixed_stream() {
+        let stream = [
+            ev_catalog(1),
+            ev_session(1, 1),
+            Event::Feedback {
+                session: 1,
+                body: "{\"actions\":[{\"op\":\"pin\",\"source\":\"s1\"}]}".into(),
+            },
+            ev_solve(1),
+            ev_session(2, 1),
+            ev_solve(2),
+            Event::SessionDelete { session: 1 },
+            Event::Feedback {
+                session: 2,
+                body: "{\"actions\":[]}".into(),
+            },
+        ];
+        for every in [2, 1000] {
+            let dir = test_dir("digest-golden");
+            let (j, _, _) = Journal::open(&dir, FsyncPolicy::Never, every).unwrap();
+            for e in &stream {
+                j.append(e.clone()).unwrap();
+            }
+            assert_eq!(
+                j.state_digest(),
+                (8, 0x26d0_3473_198d_ccc7),
+                "snapshot_every {every}"
+            );
+            drop(j);
+            let (j, _, _) = Journal::open(&dir, FsyncPolicy::Never, every).unwrap();
+            assert_eq!(
+                j.state_digest(),
+                (8, 0x26d0_3473_198d_ccc7),
+                "reopened, snapshot_every {every}"
+            );
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     #[test]
     fn state_digest_differs_on_divergent_streams() {
         let d1 = test_dir("digest-a");
@@ -1359,13 +1423,55 @@ mod tests {
     fn append_at_preserves_leader_lsns_and_rejects_regression() {
         let dir = test_dir("append-at");
         let (j, _, _) = Journal::open(&dir, FsyncPolicy::Never, 1000).unwrap();
-        j.append_at(3, ev_catalog(1)).unwrap();
-        j.append_at(7, ev_session(1, 1)).unwrap(); // gap: leader compacted
+        assert_eq!(
+            append_received(&j, 3, &ev_catalog(1)).unwrap(),
+            ev_catalog(1)
+        );
+        append_received(&j, 7, &ev_session(1, 1)).unwrap(); // gap: leader compacted
         assert_eq!(j.last_lsn(), 7);
-        assert!(j.append_at(5, ev_solve(1)).is_err(), "LSN regression");
+        let before = j.state_digest();
+        let err = append_received(&j, 5, &ev_solve(1)).unwrap_err();
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "LSN regression"
+        );
+        assert_eq!(j.state_digest(), before, "a refused frame changes nothing");
         // Digest covers the *leader's* LSNs, not a local renumbering.
         let (lsn, _) = j.state_digest();
         assert_eq!(lsn, 7);
+        // The received bytes are what lands on disk.
+        let mut want = encode_event_frame(3, &ev_catalog(1)).unwrap();
+        want.extend_from_slice(&encode_event_frame(7, &ev_session(1, 1)).unwrap());
+        assert_eq!(fs::read(dir.join("journal.wal")).unwrap(), want);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A Solve frame whose `timed_out` byte is neither 0 nor 1 is refused:
+    /// decoding stays canonical, so a stored body always equals the
+    /// encoding of the event it decodes to.
+    #[test]
+    fn a_bool_byte_other_than_0_or_1_is_undecodable() {
+        let event = ev_solve(1); // 3 sources: `timed_out` is body byte 40
+        let good = encode_event_frame(1, &event).unwrap();
+        let mut body = frame::parse_frame(&good).unwrap().unwrap().0.body.to_vec();
+        assert_eq!(body[40], 0);
+        body[40] = 2;
+        let bad = encode_frame(1, event.tag(), &body).unwrap();
+        let raw = frame::parse_frame(&bad).unwrap().unwrap().0;
+        assert!(Event::decode(raw).is_err());
+        let why = Record::decode(raw).err().expect("refused");
+        assert!(why.contains("undecodable"), "{why}");
+
+        // On disk it is corruption: boot keeps the good prefix only.
+        let dir = test_dir("bool-byte");
+        fs::create_dir_all(&dir).unwrap();
+        let mut tail = encode_event_frame(1, &ev_catalog(1)).unwrap();
+        tail.extend_from_slice(&bad);
+        fs::write(dir.join("journal.wal"), &tail).unwrap();
+        let (_, replayed, report) = Journal::open(&dir, FsyncPolicy::Never, 1000).unwrap();
+        assert_eq!(replayed, vec![ev_catalog(1)]);
+        assert!(report.corruption.unwrap().contains("undecodable"));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1375,19 +1481,18 @@ mod tests {
         let (j, _, _) = Journal::open(&dir, FsyncPolicy::Never, 3).unwrap();
         j.append(ev_catalog(1)).unwrap();
         j.append(ev_session(1, 1)).unwrap();
-        let frames = j.frames_after(1).unwrap();
+        let (reset, frames) = j.frames_after(1);
+        assert!(!reset);
         assert_eq!(frames.len(), 1);
         let (raw, _) = frame::parse_frame(&frames[0]).unwrap().unwrap();
         assert_eq!(raw.lsn, 2);
         assert_eq!(Event::decode(raw).unwrap(), ev_session(1, 1));
         // Trigger a dropping compaction (delete makes the 3rd tail record).
         j.append(Event::SessionDelete { session: 1 }).unwrap();
-        assert!(
-            j.frames_after(1).is_none(),
-            "acks behind the drop horizon must force a resync"
-        );
-        assert_eq!(j.frames_after(3).unwrap().len(), 0);
-        assert_eq!(j.all_frames().len(), 1, "only the catalog survives");
+        let (reset, frames) = j.frames_after(1);
+        assert!(reset, "acks behind the drop horizon must force a resync");
+        assert_eq!(frames.len(), 1, "only the catalog survives");
+        assert_eq!(j.frames_after(3), (false, Vec::new()));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1403,7 +1508,7 @@ mod tests {
             assert_eq!(j.last_lsn(), 0);
             assert!(!dir.join("snapshot.wal").exists());
             // Usable immediately after reset, at leader-assigned LSNs.
-            j.append_at(4, ev_catalog(9)).unwrap();
+            append_received(&j, 4, &ev_catalog(9)).unwrap();
             j.flush().unwrap();
         }
         let (_, replayed, report) = Journal::open(&dir, FsyncPolicy::Never, 2).unwrap();

@@ -4,14 +4,14 @@
 //! *pair* of processes availability. The leader ships every committed WAL
 //! frame — the exact `[len][crc][lsn][tag][body]` bytes that hit its own
 //! disk — over a TCP replication port. A follower (`mube serve --follow`)
-//! applies each frame through the same replay handlers boot-time recovery
-//! uses, persists it at the leader's LSN, and acks by LSN. Because replay
-//! is byte-identical (PR 5), leader/follower state equality is *checkable*:
-//! heartbeats carry a state digest (FNV-1a over the deleted-filtered live
-//! event stream) and the follower verifies it whenever its applied LSN
-//! matches the heartbeat's — a mismatch marks the follower **diverged**,
-//! writes a quarantine marker, and permanently refuses promotion rather
-//! than ever silently serving wrong state.
+//! appends each frame to its own journal verbatim, applies its event
+//! through the same replay handlers boot-time recovery uses, and acks by
+//! LSN. Because replay is byte-identical, leader/follower state equality is
+//! *checkable*: heartbeats carry a state digest (FNV-1a over the payloads
+//! of the deleted-filtered live frames) and the follower verifies it
+//! whenever its applied LSN matches the heartbeat's — a mismatch marks the
+//! follower **diverged**, writes a quarantine marker, and permanently
+//! refuses promotion rather than ever silently serving wrong state.
 //!
 //! ## Wire protocol
 //!
@@ -46,7 +46,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::frame::{encode_frame, parse_frame, RawFrame};
-use crate::persist::{Event, Journal};
+use crate::persist::Journal;
 use crate::server::ServerState;
 
 /// Replication hello magic (8 bytes, versioned).
@@ -153,7 +153,7 @@ pub fn encode_reset() -> Vec<u8> {
 /// One connected follower, as the leader sees it: an outbound frame queue
 /// drained by a writer thread, and the ack state fed by a reader thread.
 pub(crate) struct FollowerConn {
-    queue: Mutex<VecDeque<Vec<u8>>>,
+    queue: Mutex<VecDeque<Arc<[u8]>>>,
     cv: Condvar,
     acked: AtomicU64,
     last_ack: Mutex<Instant>,
@@ -204,7 +204,7 @@ impl ReplHub {
     }
 
     /// Enqueues one committed frame for every live follower.
-    pub(crate) fn publish(&self, frame: &[u8]) {
+    pub(crate) fn publish(&self, frame: &Arc<[u8]>) {
         let conns = self.conns.lock().expect("repl conns lock poisoned");
         for conn in conns.iter() {
             if conn.dead.load(Ordering::SeqCst) {
@@ -213,7 +213,7 @@ impl ReplHub {
             conn.queue
                 .lock()
                 .expect("repl queue lock poisoned")
-                .push_back(frame.to_vec());
+                .push_back(Arc::clone(frame));
             conn.cv.notify_one();
         }
     }
@@ -340,21 +340,15 @@ fn serve_follower(stream: TcpStream, state: &ServerState) {
     // queue front to preserve LSN order past that race.
     {
         let mut q = conn.queue.lock().expect("repl queue lock poisoned");
-        match journal.frames_after(follower_lsn) {
-            Some(frames) => {
-                for frame in frames.into_iter().rev() {
-                    q.push_front(frame);
-                }
-            }
-            None => {
-                // The follower's ack horizon predates a dropping
-                // compaction: catch-up frames are gone, full resync.
-                for frame in journal.all_frames().into_iter().rev() {
-                    q.push_front(frame);
-                }
-                q.push_front(encode_reset());
-                hub.resets_sent.fetch_add(1, Ordering::SeqCst);
-            }
+        let (reset, frames) = journal.frames_after(follower_lsn);
+        for frame in frames.into_iter().rev() {
+            q.push_front(frame);
+        }
+        if reset {
+            // The follower's ack horizon predates a dropping compaction:
+            // catch-up frames are gone, full resync.
+            q.push_front(encode_reset().into());
+            hub.resets_sent.fetch_add(1, Ordering::SeqCst);
         }
     }
     conn.cv.notify_one();
@@ -638,13 +632,10 @@ fn serve_follow_stream(
                         follower.resyncs.fetch_add(1, Ordering::SeqCst);
                     }
                     _ => {
-                        let lsn = frame.lsn;
-                        if lsn <= follower.applied.load(Ordering::SeqCst) {
+                        if frame.lsn <= follower.applied.load(Ordering::SeqCst) {
                             continue; // duplicate from the backlog race
                         }
-                        let event =
-                            Event::decode(frame).map_err(|e| format!("frame {lsn}: {e}"))?;
-                        apply_event(state, journal, follower, lsn, event)?;
+                        apply_frame(state, journal, follower, frame)?;
                         applied_any = true;
                     }
                 },
@@ -660,7 +651,7 @@ fn serve_follow_stream(
         }
         follower.touch_contact();
         // Ack once per read burst: everything applied above is already
-        // durable (apply_event flushes), so one ack covers the batch.
+        // durable (apply_frame flushes), so one ack covers the batch.
         let applied = follower.applied.load(Ordering::SeqCst);
         if applied_any {
             // deadline: write timeout set at connect.
@@ -677,16 +668,17 @@ fn serve_follow_stream(
     }
 }
 
-/// Journals (durably), replays, and publishes one replicated event.
-fn apply_event(
+/// Journals (durably, as the received bytes), replays, and publishes one
+/// replicated frame.
+fn apply_frame(
     state: &ServerState,
-    journal: &crate::persist::Journal,
+    journal: &Journal,
     follower: &FollowerState,
-    lsn: u64,
-    event: Event,
+    frame: RawFrame<'_>,
 ) -> Result<(), String> {
-    let (_, frame) = journal
-        .append_at(lsn, event.clone())
+    let lsn = frame.lsn;
+    let event = journal
+        .append_at(frame)
         .map_err(|e| format!("journal frame {lsn}: {e}"))?;
     // Ack implies durable: fsync regardless of policy, so `--repl-sync`
     // on the leader really means "a second durable copy exists".
@@ -705,7 +697,7 @@ fn apply_event(
     // Chaining: if this follower is itself a replication source
     // (`--repl-addr` set), forward the frame downstream.
     if let Some(hub) = &state.repl_hub {
-        hub.publish(&frame);
+        hub.publish(&frame.bytes.into());
     }
     Ok(())
 }
@@ -715,7 +707,7 @@ fn apply_event(
 /// replicating — serving stale-but-honest reads beats serving wrong state.
 fn check_heartbeat(
     state: &ServerState,
-    journal: &crate::persist::Journal,
+    journal: &Journal,
     follower: &FollowerState,
     hb_lsn: u64,
     hb_digest: u64,
@@ -994,7 +986,7 @@ pub(crate) fn repl_stats(state: &ServerState) -> Option<ReplStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::encode_event_frame;
+    use crate::persist::{encode_event_frame, Event};
 
     fn frame(lsn: u64, event: &Event) -> Vec<u8> {
         encode_event_frame(lsn, event).unwrap()
@@ -1092,7 +1084,7 @@ mod tests {
         hub.register(Arc::clone(&a));
         hub.register(Arc::clone(&b));
         b.mark_dead();
-        hub.publish(&frame(1, &ev(1)));
+        hub.publish(&frame(1, &ev(1)).into());
         assert_eq!(a.queue.lock().unwrap().len(), 1);
         assert_eq!(b.queue.lock().unwrap().len(), 0, "dead conns are skipped");
     }

@@ -212,19 +212,32 @@ impl ServerState {
     }
 
     /// Appends to the journal if one is configured, publishing the
-    /// committed frame to any connected followers. Append failures are
-    /// logged, not fatal: the server keeps serving from memory (the same
-    /// availability-over-durability stance as the quarantine path).
-    fn journal_append(&self, event: Event) {
-        if let Some(j) = &self.journal {
-            match j.append_frame(event) {
-                Ok((_, frame)) => {
-                    if let Some(hub) = &self.repl_hub {
-                        hub.publish(&frame);
-                    }
-                }
-                Err(e) => eprintln!("mube-serve: journal append failed: {e}"),
-            }
+    /// committed frame to any connected followers. A failed append fences
+    /// the node and answers 503 `read_only`: the write lives only in
+    /// memory, where neither a restart nor a follower would see it.
+    fn journal_append(&self, event: Event) -> Result<(), ApiError> {
+        let Some(j) = &self.journal else {
+            return Ok(());
+        };
+        let (_, frame) = j.append_frame(event).map_err(|e| {
+            self.fence(&format!("JOURNAL APPEND FAILED: {e}"));
+            let why = format!("the journal append failed ({e}); this node is fenced read-only");
+            ApiError::new(503, "read_only", why)
+        })?;
+        if let Some(hub) = &self.repl_hub {
+            hub.publish(&frame);
+        }
+        Ok(())
+    }
+
+    /// Fences the node read-only: every later write answers 503
+    /// `read_only`. Logs `why` the first time.
+    fn fence(&self, why: &str) {
+        if !self.read_only.swap(true, Ordering::SeqCst) {
+            eprintln!(
+                "mube-serve: {why}; node is now read-only \
+                 (stop it and run `mube fsck --repair` on the data dir)"
+            );
         }
     }
 
@@ -575,12 +588,7 @@ fn run_scrubber(state: &ServerState) {
                     state.scrub.failures.fetch_add(1, Ordering::SeqCst);
                     *state.scrub.last_error.lock().expect("scrub lock poisoned") =
                         Some(why.clone());
-                    if !state.read_only.swap(true, Ordering::SeqCst) {
-                        eprintln!(
-                            "mube-serve: SCRUB FAILURE: {why}; node is now read-only \
-                             (stop it and run `mube fsck --repair` on the data dir)"
-                        );
-                    }
+                    state.fence(&format!("SCRUB FAILURE: {why}"));
                 }
             }
             Err(e) => {
@@ -866,10 +874,10 @@ fn route(state: &Arc<ServerState>, req: &Request) -> (u16, String) {
             error_body("draining", "server is shutting down", |_| {}),
         );
     }
-    // A failed scrub fences the node: reads keep flowing (memory state is
-    // still self-consistent), mutations are refused because they could no
-    // longer be made durable truthfully. Admin endpoints stay reachable —
-    // they are the way out.
+    // A failed scrub or journal append fences the node: reads keep flowing
+    // (memory state is still self-consistent), mutations are refused
+    // because they could no longer be made durable truthfully. Admin
+    // endpoints stay reachable — they are the way out.
     if state.read_only.load(Ordering::SeqCst)
         && req.method != "GET"
         && segs.first() != Some(&"admin")
@@ -878,8 +886,8 @@ fn route(state: &Arc<ServerState>, req: &Request) -> (u16, String) {
             503,
             error_body(
                 "read_only",
-                "a scrub found disk disagreeing with served state; this node \
-                 is fenced read-only until repaired",
+                "this node is fenced read-only until repaired: a scrub found \
+                 disk disagreeing with served state, or a journal append failed",
                 |_| {},
             ),
         );
@@ -1219,7 +1227,7 @@ fn create_catalog(state: &ServerState, req: &Request) -> Result<(u16, String), A
     let id = state.store.insert_catalog(Arc::clone(&universe), cache);
     *slot = id;
     state.metrics.catalog_created();
-    state.journal_append(event);
+    state.journal_append(event)?;
     let mut j = JsonBuf::new();
     j.begin_obj();
     j.key("catalog").uint_value(id);
@@ -1508,9 +1516,9 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, String), A
     if let Event::SessionCreate { id: slot, .. } = &mut event {
         *slot = id;
     }
-    state.journal_append(event);
+    state.journal_append(event)?;
     for &session in swept.iter().chain(evicted.iter()) {
-        state.journal_append(Event::SessionDelete { session });
+        state.journal_append(Event::SessionDelete { session })?;
     }
     if evicted_total > 0 {
         state.journal_flush();
@@ -1570,7 +1578,7 @@ fn solve(
     state.journal_append(Event::Solve {
         session: entry.id,
         solution: SolutionRecord::from_solution(latest),
-    });
+    })?;
     let universe = session.universe();
     let solution_json = session.latest().expect("run succeeded").to_json(universe);
     let mut j = JsonBuf::new();
@@ -1763,7 +1771,7 @@ fn feedback(
     apply_batch(&mut session, &actions)?;
     // Journal only after the whole batch applied: replay applies it the
     // same way, and a refused batch changed nothing to persist.
-    state.journal_append(event);
+    state.journal_append(event)?;
     let constraints = session.constraints();
     let universe = session.universe();
     let mut j = JsonBuf::new();
@@ -1849,7 +1857,7 @@ fn delete_session(state: &ServerState, id: &str) -> Result<(u16, String), ApiErr
     }
     state.journal_append(Event::SessionDelete {
         session: parsed.expect("removed implies parsed"),
-    });
+    })?;
     state.journal_flush();
     let mut j = JsonBuf::new();
     j.begin_obj();
@@ -2118,6 +2126,62 @@ mod tests {
         let (status, v) = post(&feedback, &pin, None);
         assert_eq!(status, 200, "{v:?}");
         assert_eq!(journal.last_lsn(), 3);
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A write whose journal append fails is not acknowledged: it answers
+    /// 503 `read_only` and fences the node, so later writes get the same
+    /// 503 while reads keep flowing.
+    #[test]
+    fn a_failed_journal_append_fences_the_node_read_only() {
+        let dir =
+            std::env::temp_dir().join(format!("mube-serve-append-fails-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            data_dir: Some(dir.to_string_lossy().into_owned()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let state = &server.state;
+        let call = |method: &str, path: &str, body: &str| {
+            let req = Request {
+                method: method.into(),
+                path: path.into(),
+                headers: Vec::new(),
+                body: body.as_bytes().to_vec(),
+            };
+            let (status, body) = route(state, &req);
+            (status, Json::parse(&body).unwrap())
+        };
+        let error = |v: &Json, field: &str| {
+            v.get("error")
+                .and_then(|e| e.get(field))
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string()
+        };
+        let upload = r#"{"catalog":"source a\n  attr title\n"}"#;
+        let (status, v) = call("POST", "/catalogs", upload);
+        assert_eq!(status, 201, "{v:?}");
+
+        state.journal.as_ref().unwrap().make_tail_read_only();
+        let (status, v) = call("POST", "/catalogs", upload);
+        assert_eq!((status, error(&v, "code").as_str()), (503, "read_only"));
+        assert!(
+            error(&v, "message").contains("journal append failed"),
+            "{v:?}"
+        );
+        assert!(state.read_only.load(Ordering::SeqCst));
+
+        let session = r#"{"catalog":1,"max_sources":1,"beta":1}"#;
+        let (status, v) = call("POST", "/sessions", session);
+        assert_eq!((status, error(&v, "code").as_str()), (503, "read_only"));
+        assert_eq!(state.store.sessions_len(), 0, "refused before any change");
+        let (status, v) = call("GET", "/healthz", "");
+        assert_eq!(status, 200);
+        assert_eq!(v.get("read_only"), Some(&Json::Bool(true)));
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
     }

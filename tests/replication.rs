@@ -294,6 +294,57 @@ fn promotion_is_digest_checked_and_flips_the_role() {
     fjoin.join().unwrap().unwrap();
 }
 
+/// A follower keeps the leader's frames as it received them: after a
+/// catch-up from a backlog plus live streaming, with no compaction on
+/// either side, its `journal.wal` is byte-identical to the leader's.
+#[test]
+fn follower_journal_is_byte_identical_to_the_leaders() {
+    let (ldir, fdir) = (fresh_dir("bytes-l"), fresh_dir("bytes-f"));
+    let (leader, ljoin) = spawn(leader_config(&ldir));
+    let repl = leader.repl_addr().expect("leader repl addr");
+
+    // A backlog the follower must catch up on, then live traffic.
+    let cat = upload_catalog(leader.addr(), 8, 11);
+    let sid = create_session(leader.addr(), cat, 3);
+    let (follower, fjoin) = spawn(follower_config(&fdir, repl));
+    let (status, v) = request(
+        leader.addr(),
+        "POST",
+        &format!("/sessions/{sid}/solve"),
+        "{}",
+    );
+    assert_eq!(status, 200, "{v:?}");
+    let (status, v) = request(
+        leader.addr(),
+        "POST",
+        &format!("/sessions/{sid}/feedback"),
+        r#"{"actions":[{"op":"pin","source":"site0002"}]}"#,
+    );
+    assert_eq!(status, 200, "{v:?}");
+    let (status, v) = request(leader.addr(), "DELETE", &format!("/sessions/{sid}"), "");
+    assert_eq!(status, 200, "{v:?}");
+    let lh = healthz(leader.addr());
+    assert_eq!(lh.get("lsn").and_then(Json::as_u64), Some(5));
+    wait_healthz(follower.addr(), "follower catch-up", |h| {
+        h.get("lsn") == lh.get("lsn") && h.get("digest") == lh.get("digest")
+    });
+
+    follower.shutdown();
+    leader.shutdown();
+    fjoin.join().unwrap().unwrap();
+    ljoin.join().unwrap().unwrap();
+    let wal = |dir: &std::path::Path| std::fs::read(dir.join("journal.wal")).expect("journal.wal");
+    let leader_wal = wal(&ldir);
+    assert!(!leader_wal.is_empty());
+    assert!(!ldir.join("snapshot.wal").exists(), "no compaction ran");
+    assert!(
+        wal(&fdir) == leader_wal,
+        "follower journal differs from the leader's"
+    );
+    let _ = std::fs::remove_dir_all(&ldir);
+    let _ = std::fs::remove_dir_all(&fdir);
+}
+
 #[test]
 fn graceful_drain_ships_the_tail_before_exit() {
     let (ldir, fdir) = (fresh_dir("drain-l"), fresh_dir("drain-f"));

@@ -1175,3 +1175,60 @@ fn a_refused_feedback_batch_changes_nothing() {
     join.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Catalogs the parser refuses are a 4xx that creates nothing: a
+/// non-finite characteristic (422 naming the line), a signature claiming
+/// 2^40 bitmaps, a cardinality past `u64`, and a body that is not UTF-8.
+#[test]
+fn bad_catalog_uploads_are_refused_and_create_nothing() {
+    let (handle, join) = spawn(1);
+    let addr = handle.addr();
+    let upload = |catalog: &str| {
+        let mut j = mube_core::jsonw::JsonBuf::new();
+        j.begin_obj();
+        j.key("catalog").str_value(catalog);
+        j.end_obj();
+        request(addr, "POST", "/catalogs", &j.finish())
+    };
+    for bad in [
+        "characteristic mttf NaN",
+        "characteristic mttf inf",
+        "characteristic latency -infinity",
+        "signature 1099511627776 32 ab 1 2 3",
+        "cardinality 18446744073709551616",
+    ] {
+        let (status, v) = upload(&format!("source a\n  attr title\n  {bad}\n"));
+        assert_eq!(status, 422, "{bad}: {v:?}");
+        let (code, message) = error_of(&v);
+        assert_eq!(code, Some("invalid_parameter"), "{bad}");
+        assert!(
+            message.is_some_and(|m| m.contains("catalog line 3")),
+            "{bad}: {v:?}"
+        );
+    }
+    // A finite negative value is a normalization question, not a parse
+    // error.
+    let (status, v) = upload("source a\n  attr title\n  characteristic mttf -3\n");
+    assert_eq!(status, 201, "{v:?}");
+
+    // Invalid UTF-8 inside the JSON string of the body.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let body = b"{\"catalog\":\"source a\\n  attr \xff\xfe\\n\"}";
+    let head = format!(
+        "POST /catalogs HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body).unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read response");
+    assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
+    assert!(raw.contains("\"bad_request\""), "{raw}");
+    assert_eq!(handle.stats().catalogs_created, 1);
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
