@@ -1,5 +1,5 @@
 //! Micro-benchmarks for full objective evaluation (matching + β filtering
-//! + all five QEFs), cached and uncached.
+//! + all five QEFs).
 
 use std::collections::BTreeSet;
 
@@ -33,13 +33,6 @@ fn bench_objective(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    // Cached path: repeated evaluation of one candidate.
-    let fixed: BTreeSet<SourceId> = all.iter().copied().take(10).collect();
-    problem.objective(&fixed);
-    c.bench_function("objective_cached", |b| {
-        b.iter(|| problem.objective(black_box(&fixed)));
-    });
 }
 
 criterion_group!(benches, bench_objective);

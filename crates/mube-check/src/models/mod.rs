@@ -18,6 +18,5 @@
 
 pub mod breaker;
 pub mod champion;
-pub mod simcache;
 pub mod store_evict;
 pub mod wal_crash;

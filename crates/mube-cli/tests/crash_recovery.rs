@@ -5,12 +5,15 @@
 
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use mube_core::catalog;
 use mube_synth::{generate, SynthConfig};
+
+mod common;
+use common::TestDir;
 
 /// A `mube serve` child process bound to an ephemeral port.
 struct ServerProc {
@@ -96,11 +99,8 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Stri
 }
 
 /// A fresh per-test data directory under the system temp dir.
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mube-crash-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create test data dir");
-    dir
+fn fresh_dir(tag: &str) -> TestDir {
+    TestDir::new("crash-test", tag)
 }
 
 /// Uploads the deterministic test catalog; ids are assigned from 1, so the

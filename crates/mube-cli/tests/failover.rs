@@ -7,12 +7,15 @@
 
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use mube_core::catalog;
 use mube_synth::{generate, SynthConfig};
+
+mod common;
+use common::TestDir;
 
 /// A `mube serve` child bound to an ephemeral HTTP port, optionally with a
 /// replication port.
@@ -115,11 +118,8 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Stri
     (status, body)
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mube-failover-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create test data dir");
-    dir
+fn fresh_dir(tag: &str) -> TestDir {
+    TestDir::new("failover-test", tag)
 }
 
 /// Extracts `"key":value` (unquoted) or `"key":"value"` from a flat JSON

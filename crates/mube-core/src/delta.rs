@@ -25,11 +25,15 @@
 //!   schema.
 //!
 //! Because the running state is integer sums and bitwise ORs — both exact
-//! and order-independent — [`DeltaEval::score`] is *bitwise identical* to
-//! the full evaluation path, a property enforced by the differential
-//! harness in `tests/solver_differential.rs`. [`DeltaEval::recompute`]
-//! rebuilds all state from scratch as an explicit escape hatch (and is what
-//! the harness diffs against).
+//! and order-independent — and F3/F4 apply the QEFs' own formulas
+//! (`coverage_score`, `redundancy_score`) to it, [`DeltaEval::score`] is
+//! *bitwise identical* to the full evaluation path, a property enforced by
+//! the differential harness in `tests/solver_differential.rs`.
+//! [`DeltaEval::recompute`] rebuilds all state from scratch as an explicit
+//! escape hatch (and is what the harness diffs against).
+//!
+//! Every solver run scores through its own [`DeltaObjective`]; nothing
+//! memoizes whole-candidate objective values.
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -39,8 +43,10 @@ use mube_sketch::PcsaSignature;
 
 use crate::ga::MediatedSchema;
 use crate::ids::SourceId;
-use crate::problem::{CandidateEval, Problem, INFEASIBLE_SCORE};
+use crate::problem::{Problem, INFEASIBLE_SCORE};
 use crate::qef::{DeltaClass, EvalInput};
+use crate::qefs::coverage::{coverage_score, union_signature};
+use crate::qefs::redundancy::redundancy_score;
 
 /// A single-source change to the tracked selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +60,7 @@ pub enum DeltaMove {
 /// Incremental evaluator for one [`Problem`], tracking a current selection
 /// and the per-QEF running state needed to score it in `O(Δ)` per move.
 ///
-/// Not thread-safe by itself — each portfolio worker owns one (see
+/// Not thread-safe by itself — each solver run owns one (see
 /// [`DeltaObjective`]). Move ids must belong to the problem's universe;
 /// applying a foreign id panics (solvers only ever produce in-universe
 /// indices, and infeasibility of *valid* ids is still reported through
@@ -183,26 +189,20 @@ impl<'p> DeltaEval<'p> {
     /// the explicit escape hatch, and the reference the differential tests
     /// compare incremental updates against.
     pub fn recompute(&mut self) {
+        let universe = self.problem.universe();
         self.card_sum = 0;
         self.coop_count = 0;
         self.coop_card = 0;
-        self.union = None;
-        self.union_dirty = false;
-        let universe = self.problem.universe();
         for &s in &self.selected {
             let src = universe.source(s);
             self.card_sum += src.cardinality();
-            if let Some(sig) = src.signature() {
+            if src.cooperates() {
                 self.coop_count += 1;
                 self.coop_card += src.cardinality();
-                match &mut self.union {
-                    None => self.union = Some(sig.clone()),
-                    Some(u) => u
-                        .union_assign(sig)
-                        .expect("universe signatures are config-checked"),
-                }
             }
         }
+        self.union_dirty = true;
+        self.refresh_union();
     }
 
     /// Rebuilds only the PCSA union, after drops invalidated it.
@@ -210,53 +210,21 @@ impl<'p> DeltaEval<'p> {
         if !self.union_dirty {
             return;
         }
-        self.union = None;
+        self.union = union_signature(self.problem.universe(), self.selected.iter().copied());
         self.union_dirty = false;
-        let universe = self.problem.universe();
-        for &s in &self.selected {
-            if let Some(sig) = universe.source(s).signature() {
-                match &mut self.union {
-                    None => self.union = Some(sig.clone()),
-                    Some(u) => u
-                        .union_assign(sig)
-                        .expect("universe signatures are config-checked"),
-                }
-            }
-        }
-    }
-
-    /// Mirrors `RedundancyQef::evaluate` over the running state.
-    fn redundancy_score(&self, distinct: f64) -> f64 {
-        if self.coop_count == 0 {
-            return 0.0;
-        }
-        if self.coop_count == 1 {
-            return 1.0;
-        }
-        let fetched = self.coop_card;
-        if fetched == 0 {
-            return 1.0;
-        }
-        if distinct <= 0.0 {
-            return 1.0;
-        }
-        let overlap = (fetched as f64 - distinct).max(0.0);
-        let max_overlap = (self.coop_count - 1) as f64 * distinct;
-        (1.0 - overlap / max_overlap).clamp(0.0, 1.0)
     }
 
     /// Scores the current selection: `Q(S)` if feasible,
     /// [`INFEASIBLE_SCORE`] otherwise — bitwise identical to
-    /// [`Problem::objective`] on the same selection.
+    /// [`Problem::objective`] on the same selection. Counts toward
+    /// [`Problem::distinct_evaluations`].
     pub fn score(&mut self) -> f64 {
         if self.has_opaque {
             // A schema-reading QEF is present: only the full path knows how
             // to feed it.
-            return match self.problem.evaluate(&self.selected) {
-                CandidateEval::Feasible(sol) => sol.quality,
-                CandidateEval::Infeasible => INFEASIBLE_SCORE,
-            };
+            return self.problem.objective(&self.selected);
         }
+        self.problem.count_scored();
         let Some((_, match_quality)) = self.problem.match_and_filter(&self.selected) else {
             return INFEASIBLE_SCORE;
         };
@@ -284,14 +252,10 @@ impl<'p> DeltaEval<'p> {
                         self.card_sum as f64 / ctx.universe_cardinality as f64
                     }
                 }
-                DeltaClass::UnionCoverage => {
-                    if ctx.universe_distinct <= 0.0 {
-                        0.0
-                    } else {
-                        (distinct / ctx.universe_distinct).clamp(0.0, 1.0)
-                    }
+                DeltaClass::UnionCoverage => coverage_score(distinct, ctx.universe_distinct),
+                DeltaClass::UnionRedundancy => {
+                    redundancy_score(self.coop_count, self.coop_card, distinct)
                 }
-                DeltaClass::UnionRedundancy => self.redundancy_score(distinct),
                 DeltaClass::Opaque => unreachable!("opaque QEFs take the full path above"),
             };
             // Same clamp-then-accumulate loop as `WeightedQefs::evaluate`,
@@ -308,13 +272,15 @@ impl<'p> DeltaEval<'p> {
     }
 }
 
-/// A worker-local [`SubsetObjective`] view over a [`Problem`], scoring
-/// through a [`DeltaEval`].
+/// A run-local [`SubsetObjective`] view over a [`Problem`], scoring
+/// through a [`DeltaEval`] — what [`Problem`]'s
+/// `SubsetObjective::worker_view` returns.
 ///
-/// Each portfolio worker gets its own instance (via
-/// `SubsetObjective::worker_view`), so the mutex below is uncontended — it
-/// exists only because `SubsetObjective::score` takes `&self`. Workers
-/// share the problem's matcher, and with it whatever the matcher memoizes.
+/// Every solver run takes its own instance when it starts (alone, in a
+/// session, or as a portfolio member) and drops it when it ends, so the
+/// mutex below is uncontended — it exists only because
+/// `SubsetObjective::score` takes `&self`. Runs share the problem's
+/// matcher, and with it whatever the matcher memoizes.
 pub struct DeltaObjective<'p> {
     problem: &'p Problem,
     state: Mutex<DeltaEval<'p>>,
@@ -528,5 +494,22 @@ mod tests {
         let p = problem(data_only_qefs());
         let view = p.worker_view().expect("problem provides a worker view");
         assert_bitwise(view.score(&[0, 2]), p.score(&[0, 2]), "worker_view");
+    }
+
+    /// Both paths count every candidate they score, revisits included, and
+    /// an opaque QEF's full-path fallback counts once.
+    #[test]
+    fn every_scored_candidate_is_counted_once() {
+        let opaque = WeightedQefs::new(vec![(Arc::new(SchemaSize) as Arc<dyn Qef>, 1.0)]).unwrap();
+        for qefs in [data_only_qefs(), opaque] {
+            let p = problem(qefs);
+            let view = p.worker_view().expect("problem provides a worker view");
+            let sel: BTreeSet<_> = [SourceId(0), SourceId(2)].into();
+            for _ in 0..2 {
+                p.objective(&sel);
+                view.score(&[0, 2]);
+            }
+            assert_eq!(p.distinct_evaluations(), 4);
+        }
     }
 }

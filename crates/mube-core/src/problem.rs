@@ -8,12 +8,14 @@
 //! subset-selection solvers of `mube-opt`: it implements
 //! [`mube_opt::SubsetObjective`], scoring a candidate source set by running
 //! the matching operator, filtering the mediated schema through the `β`
-//! bound, evaluating the QEFs, and caching the resulting objective value so
-//! the optimizer's revisits are free.
+//! bound, and evaluating the QEFs. Solver runs score through a
+//! [`SubsetObjective::worker_view`] of it — the incremental evaluator of
+//! [`crate::delta`] — and [`Problem::objective`] is the full-path reference
+//! that view is held bitwise equal to.
 
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use mube_opt::{CancelToken, SolveResult, Start, SubsetObjective, SubsetSolver};
 
@@ -32,77 +34,21 @@ use crate::source::Universe;
 /// feasible always beats infeasible.
 pub const INFEASIBLE_SCORE: f64 = -1.0;
 
-/// Number of lock shards in a [`ShardedCache`]. A small power of two keeps
-/// the memory overhead negligible while spreading a portfolio's worker
-/// threads across independent locks.
-const CACHE_SHARDS: usize = 16;
-
-/// A candidate-keyed memo table sharded across several mutexes, so that
-/// concurrent solver workers hitting different candidates rarely contend on
-/// the same lock. Keys are the sorted source-id vectors of candidates.
-pub(crate) struct ShardedCache<V> {
-    shards: Vec<Mutex<HashMap<Vec<u32>, V>>>,
-}
-
-impl<V: Copy> ShardedCache<V> {
-    fn new() -> Self {
-        ShardedCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: &[u32]) -> &Mutex<HashMap<Vec<u32>, V>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % CACHE_SHARDS]
-    }
-
-    fn get(&self, key: &[u32]) -> Option<V> {
-        self.shard(key)
-            .lock()
-            .expect("cache shard poisoned")
-            .get(key)
-            .copied()
-    }
-
-    fn insert(&self, key: Vec<u32>, value: V) {
-        self.shard(&key)
-            .lock()
-            .expect("cache shard poisoned")
-            .insert(key, value);
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").clear();
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len())
-            .sum()
-    }
-}
-
 /// A fully specified `µBE` optimization problem.
 ///
-/// The problem memoizes whole-candidate objective values. Matching is not
-/// memoized here: a matcher that can reuse work keeps its own memo (the
-/// reference `ClusterMatcher` of `mube-match` keeps a bounded one per
-/// θ-component, which survives every constraint edit that leaves `θ` and
-/// the GA constraints alone).
+/// The problem keeps no per-candidate state. A matcher that can reuse work
+/// keeps its own memo (the reference `ClusterMatcher` of `mube-match` keeps
+/// a bounded one per θ-component, which survives every constraint edit that
+/// leaves `θ` and the GA constraints alone).
 pub struct Problem {
     universe: Arc<Universe>,
     matcher: Arc<dyn MatchOperator>,
     qefs: WeightedQefs,
     constraints: Constraints,
     ctx: EvalContext,
-    /// Memoized overall objective values, `Q(S)` or [`INFEASIBLE_SCORE`].
-    cache: ShardedCache<f64>,
+    /// Candidates scored so far, by [`Problem::objective`] or a
+    /// [`crate::DeltaEval`] over this problem.
+    scored: AtomicUsize,
 }
 
 /// The result of evaluating one candidate source set in full.
@@ -131,7 +77,7 @@ impl Problem {
             qefs,
             constraints,
             ctx,
-            cache: ShardedCache::new(),
+            scored: AtomicUsize::new(0),
         })
     }
 
@@ -155,24 +101,32 @@ impl Problem {
         &self.ctx
     }
 
-    /// Replaces the constraints (revalidating) and invalidates the
-    /// objective cache. This is how session iterations refine the problem.
+    /// Replaces the constraints (revalidating). This is how session
+    /// iterations refine the problem.
     pub fn set_constraints(&mut self, constraints: Constraints) -> Result<(), MubeError> {
         constraints.validate(&self.universe)?;
         self.constraints = constraints;
-        self.cache.clear();
         Ok(())
     }
 
-    /// Replaces the QEF weighting and invalidates the objective cache.
+    /// Replaces the QEF weighting.
     pub fn set_qefs(&mut self, qefs: WeightedQefs) {
         self.qefs = qefs;
-        self.cache.clear();
     }
 
-    /// Number of distinct candidates evaluated so far (cache size).
+    /// Number of candidates scored so far, through [`Problem::objective`]
+    /// or a [`crate::DeltaEval`]. Nothing memoizes objective values, so
+    /// every scored candidate counts, revisits included.
     pub fn distinct_evaluations(&self) -> usize {
-        self.cache.len()
+        // ordering: a monotone statistics counter; no other memory depends
+        // on its value, so a stale read is harmless.
+        self.scored.load(Ordering::Relaxed)
+    }
+
+    /// Counts one scored candidate (see [`Problem::distinct_evaluations`]).
+    pub(crate) fn count_scored(&self) {
+        // ordering: ditto — only the eventual total is read.
+        self.scored.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Runs the matcher on a candidate and applies the `β` bound: GAs that
@@ -242,19 +196,15 @@ impl Problem {
         })
     }
 
-    /// The (cached) objective value of a candidate: `Q(S)` if feasible,
-    /// [`INFEASIBLE_SCORE`] otherwise.
+    /// The objective value of a candidate through the full path: `Q(S)` if
+    /// feasible, [`INFEASIBLE_SCORE`] otherwise. The reference a
+    /// [`crate::DeltaEval`] is held bitwise equal to.
     pub fn objective(&self, sources: &BTreeSet<SourceId>) -> f64 {
-        let key: Vec<u32> = sources.iter().map(|s| s.0).collect();
-        if let Some(v) = self.cache.get(&key) {
-            return v;
-        }
-        let v = match self.evaluate(sources) {
+        self.count_scored();
+        match self.evaluate(sources) {
             CandidateEval::Feasible(sol) => sol.quality,
             CandidateEval::Infeasible => INFEASIBLE_SCORE,
-        };
-        self.cache.insert(key, v);
-        v
+        }
     }
 
     /// Solves the problem with the given solver and seed, returning the best
@@ -353,15 +303,7 @@ impl SubsetObjective for Problem {
     }
 
     fn worker_view(&self) -> Option<Box<dyn SubsetObjective + '_>> {
-        // With an opaque (schema-reading) QEF in play the delta evaluator
-        // would fall back to uncached full evaluations; sharing `self` (and
-        // its sharded objective cache) across workers is then faster.
-        let all_incremental = self
-            .qefs
-            .iter()
-            .all(|(q, _)| q.delta_class() != crate::qef::DeltaClass::Opaque);
-        all_incremental
-            .then(|| Box::new(crate::delta::DeltaObjective::new(self)) as Box<dyn SubsetObjective>)
+        Some(Box::new(crate::delta::DeltaObjective::new(self)))
     }
 }
 
@@ -500,21 +442,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn objective_cache_hits() {
-        let p = problem(5, 3);
-        let s: BTreeSet<_> = [SourceId(0), SourceId(1)].into();
-        let a = p.objective(&s);
-        let before = p.distinct_evaluations();
-        let b = p.objective(&s);
-        assert_eq!(a, b);
-        assert_eq!(p.distinct_evaluations(), before);
-    }
-
-    /// Contention regression test for the sharded objective cache: many
-    /// threads scoring overlapping candidate sets concurrently must all see
-    /// the single-threaded values, and the cache must end up with exactly
-    /// one entry per distinct candidate.
+    /// Many threads scoring overlapping candidate sets concurrently through
+    /// one problem (and its shared matcher) must all see the
+    /// single-threaded values.
     #[test]
     fn concurrent_objective_calls_agree_with_serial() {
         let p = problem(8, 3);
@@ -522,7 +452,6 @@ mod tests {
             .flat_map(|a| (0..8u32).map(move |b| [SourceId(a), SourceId(b)].into()))
             .collect();
         let expected: Vec<f64> = candidates.iter().map(|c| p.objective(c)).collect();
-        let distinct_before = p.distinct_evaluations();
         std::thread::scope(|scope| {
             for t in 0..8usize {
                 let p = &p;
@@ -541,18 +470,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(p.distinct_evaluations(), distinct_before);
-    }
-
-    #[test]
-    fn set_constraints_invalidates_cache() {
-        let mut p = problem(5, 3);
-        let s: BTreeSet<_> = [SourceId(0)].into();
-        let _ = p.objective(&s);
-        assert!(p.distinct_evaluations() > 0);
-        p.set_constraints(Constraints::with_max_sources(4).beta(1))
-            .unwrap();
-        assert_eq!(p.distinct_evaluations(), 0);
     }
 
     #[test]

@@ -31,20 +31,9 @@ impl EvalContext {
     /// Precomputes the context for a universe.
     pub fn for_universe(universe: &Universe) -> Self {
         let universe_cardinality = universe.total_cardinality();
-        let mut union_sig: Option<mube_sketch::PcsaSignature> = None;
-        for s in universe.sources() {
-            if let Some(sig) = s.signature() {
-                match &mut union_sig {
-                    None => union_sig = Some(sig.clone()),
-                    Some(u) => {
-                        // Builder guarantees matching configs.
-                        u.union_assign(sig)
-                            .expect("universe signatures are config-checked");
-                    }
-                }
-            }
-        }
-        let universe_distinct = union_sig.map_or(0.0, |s| s.estimate());
+        let universe_distinct =
+            crate::qefs::coverage::union_signature(universe, universe.source_ids())
+                .map_or(0.0, |s| s.estimate());
 
         let mut characteristic_ranges = std::collections::BTreeMap::new();
         for s in universe.sources() {

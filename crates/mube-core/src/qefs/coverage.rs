@@ -18,13 +18,14 @@ use crate::source::Universe;
 pub struct CoverageQef;
 
 /// ORs together the signatures of the cooperating sources in a selection.
-/// Returns `None` if no selected source cooperates.
-pub fn union_signature<'a, I>(universe: &Universe, sources: I) -> Option<PcsaSignature>
+/// Returns `None` if no selected source cooperates. OR is exact and
+/// order-independent, so any iteration order yields the same signature.
+pub fn union_signature<I>(universe: &Universe, sources: I) -> Option<PcsaSignature>
 where
-    I: IntoIterator<Item = &'a SourceId>,
+    I: IntoIterator<Item = SourceId>,
 {
     let mut acc: Option<PcsaSignature> = None;
-    for &sid in sources {
+    for sid in sources {
         if let Some(sig) = universe.source(sid).signature() {
             match &mut acc {
                 None => acc = Some(sig.clone()),
@@ -40,7 +41,18 @@ where
 /// Estimated number of distinct tuples in a selection (0 if nothing
 /// cooperates).
 pub fn estimated_distinct(universe: &Universe, input: &EvalInput<'_>) -> f64 {
-    union_signature(universe, input.sources.iter()).map_or(0.0, |s| s.estimate())
+    union_signature(universe, input.sources.iter().copied()).map_or(0.0, |s| s.estimate())
+}
+
+/// `F_3` from union estimates: the selection's estimated distinct tuples
+/// over the universe's, in `[0, 1]`, and 0 when the universe has no
+/// estimate. The one coverage formula — [`CoverageQef`], the delta
+/// evaluator and [`coverage_fraction`] all call it.
+pub fn coverage_score(distinct: f64, universe_distinct: f64) -> f64 {
+    if universe_distinct <= 0.0 {
+        return 0.0;
+    }
+    (distinct / universe_distinct).clamp(0.0, 1.0)
 }
 
 /// Estimated coverage fraction of an arbitrary source set: estimated
@@ -52,13 +64,9 @@ pub fn coverage_fraction(
     universe: &Universe,
     sources: &std::collections::BTreeSet<SourceId>,
 ) -> f64 {
-    let total = union_signature(universe, universe.source_ids().collect::<Vec<_>>().iter())
-        .map_or(0.0, |s| s.estimate());
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let selected = union_signature(universe, sources.iter()).map_or(0.0, |s| s.estimate());
-    (selected / total).clamp(0.0, 1.0)
+    let total = union_signature(universe, universe.source_ids()).map_or(0.0, |s| s.estimate());
+    let selected = union_signature(universe, sources.iter().copied()).map_or(0.0, |s| s.estimate());
+    coverage_score(selected, total)
 }
 
 /// Coverage forfeited when only `survivors ⊆ selected` actually answered:
@@ -83,11 +91,10 @@ impl Qef for CoverageQef {
     }
 
     fn evaluate(&self, ctx: &EvalContext, input: &EvalInput<'_>) -> f64 {
-        if ctx.universe_distinct <= 0.0 {
-            return 0.0;
-        }
-        let selected = estimated_distinct(input.universe, input);
-        (selected / ctx.universe_distinct).clamp(0.0, 1.0)
+        coverage_score(
+            estimated_distinct(input.universe, input),
+            ctx.universe_distinct,
+        )
     }
 }
 

@@ -20,7 +20,7 @@
 
 use crate::qef::{DeltaClass, EvalContext, EvalInput, Qef};
 
-use super::coverage::union_signature;
+use super::coverage::estimated_distinct;
 
 /// The redundancy QEF (`Redundancy(S)` in the paper).
 #[derive(Debug, Clone, Copy, Default)]
@@ -36,36 +36,38 @@ impl Qef for RedundancyQef {
     }
 
     fn evaluate(&self, _ctx: &EvalContext, input: &EvalInput<'_>) -> f64 {
-        let cooperating: Vec<_> = input
+        let (cooperating, fetched) = input
             .sources
             .iter()
-            .filter(|&&s| input.universe.source(s).cooperates())
-            .collect();
-        if cooperating.is_empty() {
-            return 0.0;
-        }
-        if cooperating.len() == 1 {
-            // A single source cannot overlap with itself.
-            return 1.0;
-        }
-        let fetched: u64 = cooperating
-            .iter()
-            .map(|&&s| input.universe.source(s).cardinality())
-            .sum();
-        if fetched == 0 {
-            return 1.0;
-        }
-        let distinct = union_signature(input.universe, cooperating.iter().copied())
-            .map_or(0.0, |sig| sig.estimate());
-        if distinct <= 0.0 {
-            return 1.0;
-        }
-        // PCSA noise can push the estimated union slightly above the summed
-        // cardinalities; clamp the overlap into its theoretical range.
-        let overlap = (fetched as f64 - distinct).max(0.0);
-        let max_overlap = (cooperating.len() - 1) as f64 * distinct;
-        (1.0 - overlap / max_overlap).clamp(0.0, 1.0)
+            .map(|&s| input.universe.source(s))
+            .filter(|s| s.cooperates())
+            .fold((0, 0), |(n, sum), s| (n + 1, sum + s.cardinality()));
+        redundancy_score(
+            cooperating,
+            fetched,
+            estimated_distinct(input.universe, input),
+        )
     }
+}
+
+/// `F_4` from a selection's counts: `cooperating` signature-bearing
+/// sources holding `fetched` tuples in total, whose signatures' union
+/// estimates `distinct` tuples. The one redundancy formula — both
+/// [`RedundancyQef`] and the delta evaluator call it.
+pub fn redundancy_score(cooperating: usize, fetched: u64, distinct: f64) -> f64 {
+    if cooperating == 0 {
+        return 0.0;
+    }
+    // A single source cannot overlap with itself; nothing fetched or
+    // nothing estimated leaves no overlap to measure.
+    if cooperating == 1 || fetched == 0 || distinct <= 0.0 {
+        return 1.0;
+    }
+    // PCSA noise can push the estimated union slightly above the summed
+    // cardinalities; clamp the overlap into its theoretical range.
+    let overlap = (fetched as f64 - distinct).max(0.0);
+    let max_overlap = (cooperating - 1) as f64 * distinct;
+    (1.0 - overlap / max_overlap).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]

@@ -23,10 +23,9 @@
 //!
 //! Threads only decide *when* each member runs, never *what* it computes.
 //!
-//! Workers ask the objective for a [`SubsetObjective::worker_view`] — a
-//! worker-local incremental evaluator when the objective provides one
-//! (`mube_core::Problem` does) — and fall back to sharing the objective
-//! directly otherwise.
+//! Each member run, like any solver run, scores through its own
+//! [`SubsetObjective::worker_view`] (`mube_core::Problem` hands out an
+//! incremental evaluator), so members never contend on scoring state.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -311,9 +310,6 @@ impl Portfolio {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    // One incremental view per OS thread; members running on
-                    // the same thread reuse it (repositioning is cheap).
-                    let mut view = objective.worker_view();
                     loop {
                         // ordering: job-ticket counter; fetch_add's
                         // atomicity alone guarantees each index is handed
@@ -324,13 +320,13 @@ impl Portfolio {
                             break;
                         }
                         let wseed = Portfolio::worker_seed(seed, w as u64);
-                        let obj: &dyn SubsetObjective = view.as_deref().unwrap_or(objective);
                         // Contain member panics: a panicking member forfeits
                         // its slot, the survivors' champion still wins, and
                         // the failure is counted instead of poisoning the
                         // whole portfolio (and the server worker above it).
+                        // Unwinding drops the member's view with its run.
                         let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            self.members[w].solve_with(obj, wseed, start, cancel)
+                            self.members[w].solve_with(objective, wseed, start, cancel)
                         }));
                         let result = match outcome {
                             Ok(result) => result,
@@ -340,10 +336,6 @@ impl Portfolio {
                                 // happens-before edge.
                                 panics.fetch_add(1, Ordering::Relaxed);
                                 MEMBER_PANICS_TOTAL.fetch_add(1, Ordering::Relaxed); // ordering: ditto
-                                                                                     // The incremental view was unwound through;
-                                                                                     // its internal state is suspect. Replace it
-                                                                                     // before the next job.
-                                view = objective.worker_view();
                                 continue;
                             }
                         };
@@ -626,11 +618,32 @@ mod tests {
         assert_ne!(Portfolio::worker_seed(42, 0), 42, "seed 0 is mixed too");
     }
 
-    /// An objective whose worker views log their creation, proving the
-    /// portfolio requests one per OS thread.
+    /// An objective that counts the views it hands out and the candidates
+    /// scored through them and through itself.
     struct Counting {
         inner: Toy,
         views: AtomicUsize,
+        view_scores: AtomicUsize,
+        direct_scores: AtomicUsize,
+    }
+
+    /// A view of [`Counting`]: scores like it, counted apart.
+    struct CountingView<'a>(&'a Counting);
+
+    impl SubsetObjective for CountingView<'_> {
+        fn universe_size(&self) -> usize {
+            self.0.universe_size()
+        }
+        fn max_selected(&self) -> usize {
+            self.0.max_selected()
+        }
+        fn required(&self) -> Vec<usize> {
+            self.0.required()
+        }
+        fn score(&self, selected: &[usize]) -> f64 {
+            self.0.view_scores.fetch_add(1, Ordering::Relaxed);
+            self.0.inner.score(selected)
+        }
     }
 
     impl SubsetObjective for Counting {
@@ -644,25 +657,42 @@ mod tests {
             self.inner.required()
         }
         fn score(&self, selected: &[usize]) -> f64 {
+            self.direct_scores.fetch_add(1, Ordering::Relaxed);
             self.inner.score(selected)
         }
         fn worker_view(&self) -> Option<Box<dyn SubsetObjective + '_>> {
             self.views.fetch_add(1, Ordering::Relaxed);
-            None
+            Some(Box::new(CountingView(self)))
         }
     }
 
+    /// Every solver run — each portfolio member, and a lone run — takes
+    /// exactly one view and scores every candidate through it.
     #[test]
-    fn one_worker_view_per_thread() {
-        let obj = Counting {
+    fn one_view_per_solver_run() {
+        let counting = || Counting {
             inner: toy(),
             views: AtomicUsize::new(0),
+            view_scores: AtomicUsize::new(0),
+            direct_scores: AtomicUsize::new(0),
         };
-        Portfolio::from_spec("tabu,sls,anneal,pso", 1, DEFAULT_MAX_EVALUATIONS)
+        let counts = |obj: &Counting| {
+            (
+                obj.views.load(Ordering::Relaxed),
+                obj.view_scores.load(Ordering::Relaxed) as u64,
+                obj.direct_scores.load(Ordering::Relaxed),
+            )
+        };
+        let obj = counting();
+        let run = Portfolio::from_spec("tabu,sls,anneal,pso", 2, 500)
             .unwrap()
             .threads(3)
             .run(&obj, 1);
-        assert_eq!(obj.views.load(Ordering::Relaxed), 3);
+        assert_eq!(counts(&obj), (8, run.result.evaluations, 0));
+
+        let obj = counting();
+        let lone = TabuSearch::default().solve(&obj, 1);
+        assert_eq!(counts(&obj), (1, lone.evaluations, 0));
     }
 
     /// A member that always panics, for containment tests.

@@ -24,15 +24,16 @@ pub trait SubsetObjective: Sync {
     /// Scores a candidate subset. `selected` is sorted and duplicate-free.
     fn score(&self, selected: &[usize]) -> f64;
 
-    /// Returns a worker-local view of this objective, if one exists.
+    /// Returns a run-local view of this objective, if one exists.
     ///
-    /// A portfolio runs several solvers concurrently against one objective;
-    /// an implementation that keeps incremental per-candidate state (e.g.
-    /// `mube_core`'s delta evaluator) can hand each worker its own view so
-    /// that state is never contended across threads. Views must score
+    /// Every solver run asks for one view when it starts and scores through
+    /// it until it ends, so an implementation that keeps incremental state
+    /// between consecutive candidates (e.g. `mube_core`'s delta evaluator)
+    /// gets one copy per run, never shared across threads — a portfolio's
+    /// members run concurrently against one objective. Views must score
     /// *identically* to the parent objective — callers treat them as pure
     /// performance artifacts. The default has no such state and returns
-    /// `None`, which makes workers share `self` directly.
+    /// `None`, which makes the run score through `self` directly.
     fn worker_view(&self) -> Option<Box<dyn SubsetObjective + '_>> {
         None
     }
@@ -107,9 +108,12 @@ pub trait SubsetSolver: Send + Sync {
 
 /// Tracks the incumbent (best feasible solution seen) and evaluation counts
 /// for a solver run. All four algorithms funnel their objective calls
-/// through this so budgets and statistics are handled uniformly.
+/// through this so budgets and statistics are handled uniformly, and it
+/// scores through the run's own [`SubsetObjective::worker_view`].
 pub(crate) struct Incumbent<'a> {
     objective: &'a dyn SubsetObjective,
+    /// The run's view of `objective`, taken once when the run starts.
+    view: Option<Box<dyn SubsetObjective + 'a>>,
     pub best: Vec<usize>,
     pub best_score: f64,
     pub evaluations: u64,
@@ -128,6 +132,7 @@ impl<'a> Incumbent<'a> {
     pub fn new(objective: &'a dyn SubsetObjective, max_evaluations: u64) -> Self {
         Incumbent {
             objective,
+            view: objective.worker_view(),
             best: Vec::new(),
             best_score: f64::NEG_INFINITY,
             evaluations: 0,
@@ -178,7 +183,11 @@ impl<'a> Incumbent<'a> {
     /// when enabled) if it improves.
     pub fn score(&mut self, candidate: &[usize]) -> f64 {
         self.evaluations += 1;
-        let s = self.objective.score(candidate);
+        let s = self
+            .view
+            .as_deref()
+            .unwrap_or(self.objective)
+            .score(candidate);
         if s > self.best_score {
             self.best_score = s;
             self.best = candidate.to_vec();

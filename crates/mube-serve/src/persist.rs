@@ -1051,6 +1051,17 @@ impl Journal {
         let mut inner = self.inner.lock().expect("journal lock poisoned");
         inner.tail = File::open(self.dir.join("journal.wal")).expect("reopen the tail");
     }
+
+    /// Swaps the tail for the write end of a pipe: appends still succeed
+    /// while the returned reader lives, and every flush fails (a pipe
+    /// cannot be synced).
+    #[cfg(unix)]
+    pub(crate) fn make_tail_unsyncable(&self) -> std::io::PipeReader {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        let mut inner = self.inner.lock().expect("journal lock poisoned");
+        inner.tail = File::from(std::os::fd::OwnedFd::from(writer));
+        reader
+    }
 }
 
 #[cfg(test)]

@@ -219,15 +219,21 @@ impl ServerState {
         let Some(j) = &self.journal else {
             return Ok(());
         };
-        let (_, frame) = j.append_frame(event).map_err(|e| {
-            self.fence(&format!("JOURNAL APPEND FAILED: {e}"));
-            let why = format!("the journal append failed ({e}); this node is fenced read-only");
-            ApiError::new(503, "read_only", why)
-        })?;
+        let (_, frame) = j
+            .append_frame(event)
+            .map_err(|e| self.journal_failed("append", &e))?;
         if let Some(hub) = &self.repl_hub {
             hub.publish(&frame);
         }
         Ok(())
+    }
+
+    /// Fences the node after a failed journal `op` and builds the 503
+    /// `read_only` answer for the write that hit it.
+    fn journal_failed(&self, op: &str, e: &std::io::Error) -> ApiError {
+        self.fence(&format!("JOURNAL {} FAILED: {e}", op.to_uppercase()));
+        let why = format!("the journal {op} failed ({e}); this node is fenced read-only");
+        ApiError::new(503, "read_only", why)
     }
 
     /// Fences the node read-only: every later write answers 503
@@ -260,12 +266,12 @@ impl ServerState {
 
     /// Forces journaled events to disk — called before sessions become
     /// unreachable (deletion, eviction) so their final state survives a
-    /// crash no matter the fsync policy.
-    fn journal_flush(&self) {
-        if let Some(j) = &self.journal {
-            if let Err(e) = j.flush() {
-                eprintln!("mube-serve: journal flush failed: {e}");
-            }
+    /// crash no matter the fsync policy. A failed flush fences the node and
+    /// answers 503 `read_only`, as a failed append does.
+    fn journal_flush(&self) -> Result<(), ApiError> {
+        match &self.journal {
+            Some(j) => j.flush().map_err(|e| self.journal_failed("flush", &e)),
+            None => Ok(()),
         }
     }
 }
@@ -484,8 +490,9 @@ impl Server {
         }
         drop(self.listener);
         self.pool.shutdown();
-        // All workers are done; make their final appends durable.
-        self.state.journal_flush();
+        // All workers are done; make their final appends durable. A failed
+        // flush logs and fences; there is no request left to answer.
+        let _ = self.state.journal_flush();
         // Graceful drain ships the final frame batch: wake the replication
         // writers (they flush their queues, then send a last heartbeat)
         // and wait — bounded — for a follower to ack the journal's tip.
@@ -1521,7 +1528,7 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, String), A
         state.journal_append(Event::SessionDelete { session })?;
     }
     if evicted_total > 0 {
-        state.journal_flush();
+        state.journal_flush()?;
     }
 
     let mut j = JsonBuf::new();
@@ -1858,7 +1865,7 @@ fn delete_session(state: &ServerState, id: &str) -> Result<(u16, String), ApiErr
     state.journal_append(Event::SessionDelete {
         session: parsed.expect("removed implies parsed"),
     })?;
-    state.journal_flush();
+    state.journal_flush()?;
     let mut j = JsonBuf::new();
     j.begin_obj();
     j.key("deleted").bool_value(true);
@@ -2182,6 +2189,62 @@ mod tests {
         let (status, v) = call("GET", "/healthz", "");
         assert_eq!(status, 200);
         assert_eq!(v.get("read_only"), Some(&Json::Bool(true)));
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `DELETE` flushes the journal whatever the fsync policy; when that
+    /// flush fails the delete is not acknowledged: it answers 503
+    /// `read_only` and fences the node.
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_journal_flush_fences_the_node_read_only() {
+        let dir =
+            std::env::temp_dir().join(format!("mube-serve-flush-fails-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            data_dir: Some(dir.to_string_lossy().into_owned()),
+            fsync: FsyncPolicy::Never,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let state = &server.state;
+        let call = |method: &str, path: &str, body: &str| {
+            let req = Request {
+                method: method.into(),
+                path: path.into(),
+                headers: Vec::new(),
+                body: body.as_bytes().to_vec(),
+            };
+            let (status, body) = route(state, &req);
+            (status, Json::parse(&body).unwrap())
+        };
+        let (status, v) = call(
+            "POST",
+            "/catalogs",
+            r#"{"catalog":"source a\n  attr title\n"}"#,
+        );
+        assert_eq!(status, 201, "{v:?}");
+        let catalog = v.get("catalog").and_then(Json::as_u64).unwrap();
+        let body = format!(r#"{{"catalog":{catalog},"max_sources":1,"beta":1}}"#);
+        let (status, v) = call("POST", "/sessions", &body);
+        assert_eq!(status, 201, "{v:?}");
+        let session = v.get("session").and_then(Json::as_u64).unwrap();
+
+        let _pipe = state.journal.as_ref().unwrap().make_tail_unsyncable();
+        let (status, v) = call("DELETE", &format!("/sessions/{session}"), "");
+        let error = v.get("error").expect("an error body");
+        assert_eq!(status, 503, "{v:?}");
+        assert_eq!(error.get("code").and_then(Json::as_str), Some("read_only"));
+        let message = error
+            .get("message")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        assert!(message.contains("journal flush failed"), "{v:?}");
+        assert!(state.read_only.load(Ordering::SeqCst));
+        let (status, _) = call("POST", "/catalogs", r#"{"catalog":"source b\n  attr t\n"}"#);
+        assert_eq!(status, 503);
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,5 +1,6 @@
 //! Shared fixtures for the cross-crate integration tests.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use mube_core::constraints::Constraints;
@@ -85,4 +86,40 @@ pub fn ci_portfolio(copies: usize, threads: usize) -> Portfolio {
         }));
     }
     Portfolio::new(members).threads(threads)
+}
+
+/// A fresh data directory under the system temp dir, named after the
+/// suite, the process and `tag`. Dropping it removes the directory when
+/// the test passed; a panicking test keeps it as evidence.
+pub struct TestDir(PathBuf);
+
+impl TestDir {
+    /// Creates `mube-{suite}-{pid}-{tag}`, emptying any leftover first.
+    pub fn new(suite: &str, tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("mube-{suite}-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create test data dir");
+        TestDir(dir)
+    }
+}
+
+impl std::ops::Deref for TestDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TestDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 }

@@ -5,20 +5,17 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use mube_core::catalog;
+use mube_integration::TestDir;
 use mube_serve::{Event, FsyncPolicy, Journal, Json, ServeConfig, Server, ServerHandle};
 use mube_synth::{generate, SynthConfig};
 
 type Spawned = (ServerHandle, std::thread::JoinHandle<std::io::Result<()>>);
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mube-repl-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create test data dir");
-    dir
+fn fresh_dir(tag: &str) -> TestDir {
+    TestDir::new("repl-test", tag)
 }
 
 /// A leader config: journals to `dir`, serves replication on an ephemeral
@@ -341,8 +338,6 @@ fn follower_journal_is_byte_identical_to_the_leaders() {
         wal(&fdir) == leader_wal,
         "follower journal differs from the leader's"
     );
-    let _ = std::fs::remove_dir_all(&ldir);
-    let _ = std::fs::remove_dir_all(&fdir);
 }
 
 #[test]

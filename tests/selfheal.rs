@@ -5,20 +5,17 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use mube_core::catalog;
+use mube_integration::TestDir;
 use mube_serve::{Event, FsyncPolicy, Journal, Json, ServeConfig, Server, ServerHandle};
 use mube_synth::{generate, SynthConfig};
 
 type Spawned = (ServerHandle, std::thread::JoinHandle<std::io::Result<()>>);
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mube-selfheal-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create test data dir");
-    dir
+fn fresh_dir(tag: &str) -> TestDir {
+    TestDir::new("selfheal-test", tag)
 }
 
 fn leader_config(dir: &std::path::Path) -> ServeConfig {

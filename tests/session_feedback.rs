@@ -219,11 +219,6 @@ fn component_memo_survives_feedback() {
     session.set_weight("coverage", 0.4).unwrap();
     session.pin_source(pin).unwrap();
     session.set_max_sources(7).unwrap();
-    assert_eq!(
-        session.problem().distinct_evaluations(),
-        0,
-        "objective memo cleared"
-    );
     let _ = session.problem().objective(&candidate);
     let warm = fx.matcher.memo_stats();
     assert_eq!(warm.misses, cold.misses, "{warm:?}");

@@ -1,6 +1,8 @@
 //! Differential tests for the incremental evaluator: for every QEF in
 //! isolation (F1 matching, F2 cardinality, F3 coverage, F4 redundancy, the
-//! `wsum` characteristic) and for the paper's full mix, [`DeltaEval`] must
+//! `wsum` characteristic), for the paper's full mix, and for a mix with a
+//! schema-reading (opaque) QEF that sends every score down the full
+//! path, [`DeltaEval`] must
 //! agree **bitwise** with the full evaluation path after arbitrary
 //! add/drop move sequences. Any divergence is reported together with the
 //! exact move sequence that produced it (the vendored proptest does not
@@ -12,7 +14,7 @@ use std::sync::Arc;
 use mube_core::constraints::Constraints;
 use mube_core::delta::{DeltaEval, DeltaMove};
 use mube_core::problem::Problem;
-use mube_core::qef::{Qef, WeightedQefs};
+use mube_core::qef::{EvalContext, EvalInput, Qef, WeightedQefs};
 use mube_core::qefs::{
     paper_default_qefs, CardinalityQef, CharacteristicQef, CoverageQef, MatchingQualityQef,
     RedundancyQef, WeightedSumAgg,
@@ -41,6 +43,19 @@ fn single_qef_problem(fx: &Fixture, qef: Arc<dyn Qef>, m: usize, theta: f64) -> 
         Constraints::with_max_sources(m).theta(theta),
     )
     .expect("fixture constraints are valid")
+}
+
+/// A user QEF that reads the mediated schema, so it keeps the default
+/// [`mube_core::qef::DeltaClass::Opaque`]: the number of GAs, scaled.
+struct SchemaSize;
+
+impl Qef for SchemaSize {
+    fn name(&self) -> &str {
+        "schema-size"
+    }
+    fn evaluate(&self, _: &EvalContext, input: &EvalInput<'_>) -> f64 {
+        input.schema.len() as f64 / 32.0
+    }
 }
 
 /// Derives a pseudo-random move sequence over the universe: starts from a
@@ -189,6 +204,39 @@ proptest! {
             Arc::clone(&fx.synth.universe),
             Arc::clone(&fx.matcher) as Arc<dyn MatchOperator>,
             paper_default_qefs("mttf"),
+            Constraints::with_max_sources(m).theta(theta),
+        )
+        .expect("fixture constraints are valid");
+        let seq = move_sequence(10, 14, mseed);
+        if let Err(e) = replay_bitwise(&problem, &seq) {
+            return Err(TestCaseError::fail(e));
+        }
+    }
+
+    /// The paper's QEFs next to an opaque one: `DeltaEval::score` takes the
+    /// full path for the whole mix (the incremental branch would reach the
+    /// opaque QEF's `unreachable!`).
+    #[test]
+    fn opaque_mix_takes_the_full_path_bitwise(
+        seed in 0u64..10_000,
+        mseed in 0u64..10_000,
+        m in 2usize..10,
+        theta in 0.4f64..0.9,
+    ) {
+        let fx = Fixture::new(10, seed);
+        let qefs = WeightedQefs::new(vec![
+            (Arc::new(MatchingQualityQef) as Arc<dyn Qef>, 0.2),
+            (Arc::new(CardinalityQef), 0.2),
+            (Arc::new(CoverageQef), 0.2),
+            (Arc::new(RedundancyQef), 0.15),
+            (Arc::new(CharacteristicQef::new("mttf", "mttf", WeightedSumAgg)), 0.1),
+            (Arc::new(SchemaSize), 0.15),
+        ])
+        .expect("weights sum to 1");
+        let problem = Problem::new(
+            Arc::clone(&fx.synth.universe),
+            Arc::clone(&fx.matcher) as Arc<dyn MatchOperator>,
+            qefs,
             Constraints::with_max_sources(m).theta(theta),
         )
         .expect("fixture constraints are valid");
