@@ -6,9 +6,9 @@
 //! 1. **A bounded concurrency model checker** ([`engine`], [`sync`],
 //!    [`thread`]): loom-style schedule exploration over instrumented
 //!    `Mutex`/atomic/thread shims, with concrete models of the workspace's
-//!    concurrency-critical kernels in [`models`] (portfolio champion fold,
-//!    circuit breaker, store eviction) plus a WAL crash-point explorer. `cargo test -p mube-check` is the
-//!    exhaustive `check-model` CI gate.
+//!    concurrency-critical kernels in [`models`] (circuit breaker, store
+//!    eviction) plus a WAL crash-point explorer. `cargo test -p mube-check`
+//!    is the exhaustive `check-model` CI gate.
 //! 2. **A source-invariant linter** ([`lint`]): token-level scanning of the
 //!    workspace's own Rust code for project rules the compiler can't
 //!    enforce, surfaced as stable `MUBE1xx` codes via `mube lint-src`.

@@ -17,6 +17,5 @@
 //! only with cause — state space grows fast).
 
 pub mod breaker;
-pub mod champion;
 pub mod store_evict;
 pub mod wal_crash;

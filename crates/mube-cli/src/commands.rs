@@ -784,9 +784,19 @@ fn exec_command(
     Ok(out)
 }
 
+/// Reads and parses a catalog file. A file that is not UTF-8 is refused
+/// with its path and the byte offset and line of the first bad byte.
 fn load(file: &str) -> Result<Universe, CliError> {
-    let text = std::fs::read_to_string(file)?;
-    Ok(catalog::from_text(&text)?)
+    let bytes = std::fs::read(file)?;
+    let text = std::str::from_utf8(&bytes).map_err(|e| {
+        let at = e.valid_up_to();
+        let line = bytes[..at].iter().filter(|&&b| b == b'\n').count() + 1;
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("{file}: not valid UTF-8 at byte {at} (line {line})"),
+        )
+    })?;
+    Ok(catalog::from_text(text)?)
 }
 
 /// Maps source names to ids; an unknown name is an engine error.
@@ -1028,6 +1038,9 @@ mod tests {
             match run(parse(argv).unwrap()) {
                 Err(CliError::Io(e)) => {
                     assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{argv:?}");
+                    let message = e.to_string();
+                    assert!(message.contains(&path), "{message}");
+                    assert!(message.contains("byte 16 (line 2)"), "{message}");
                 }
                 other => panic!("{argv:?}: expected an I/O error, got {other:?}"),
             }

@@ -45,7 +45,6 @@
 
 pub mod anneal;
 pub mod cancel;
-pub mod hierarchy;
 pub mod portfolio;
 pub mod problem;
 pub mod pso;
@@ -54,7 +53,6 @@ pub mod tabu;
 
 pub use anneal::SimulatedAnnealing;
 pub use cancel::{CancelClock, CancelToken, ManualClock, MonotonicClock};
-pub use hierarchy::{solve_two_level, RestrictedObjective, TwoLevelResult};
 pub use portfolio::{
     member_panics_total, parse_portfolio_spec, solver_by_name, MemberRun, Portfolio, PortfolioRun,
     SolverChoice, DEFAULT_PORTFOLIO,

@@ -14,9 +14,7 @@
 //!
 //! * every member `w` gets its own seed stream derived from `(seed, w)` by
 //!   a SplitMix64-style mix — thread scheduling never touches RNG state;
-//! * the shared champion (atomic epoch + mutex-guarded best) is
-//!   *observational only*: members never read it to steer their search, so
-//!   racing updates cannot leak timing into results;
+//! * members share no search state: each writes only its own result slot;
 //! * the winner is chosen after all members finish, by highest score with
 //!   ties broken toward the lowest worker id — a total order independent
 //!   of completion order.
@@ -29,7 +27,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::anneal::SimulatedAnnealing;
 use crate::cancel::CancelToken;
@@ -47,7 +45,7 @@ static MEMBER_PANICS_TOTAL: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative number of member panics contained across every portfolio run
 /// in this process. A member that panics is dropped from its run (the
-/// champion among the survivors still wins); this counter surfaces the
+/// best of the survivors still wins); this counter surfaces the
 /// failures for monitoring, e.g. the `member_panics` field in
 /// `mube-serve`'s `/metrics`.
 pub fn member_panics_total() -> u64 {
@@ -68,7 +66,7 @@ pub struct MemberRun {
 }
 
 /// The full outcome of a portfolio run: the aggregate result plus every
-/// member's incumbent and the champion-improvement trace.
+/// member's incumbent.
 #[derive(Debug, Clone)]
 pub struct PortfolioRun {
     /// Worker id of the winning member.
@@ -81,21 +79,8 @@ pub struct PortfolioRun {
     /// panicked are absent (their panic is contained and counted in
     /// [`PortfolioRun::member_panics`]).
     pub members: Vec<MemberRun>,
-    /// `(worker, score)` at each champion improvement, in update order.
-    /// Scores are monotone non-decreasing. The *order* entries arrived in
-    /// depends on thread scheduling (the trace observes the race; it never
-    /// influences results).
-    pub champion_trace: Vec<(usize, f64)>,
     /// Number of members whose solver panicked during this run.
     pub member_panics: u64,
-}
-
-/// Shared best-so-far incumbent. Updated under the mutex; the epoch counter
-/// lets observers detect improvements without taking the lock.
-struct Champion {
-    score: f64,
-    worker: usize,
-    trace: Vec<(usize, f64)>,
 }
 
 /// A parallel multi-start portfolio of subset solvers.
@@ -297,12 +282,6 @@ impl Portfolio {
     ) -> PortfolioRun {
         let n = self.members.len();
         let next_job = AtomicUsize::new(0);
-        let epoch = AtomicU64::new(0);
-        let champion = Mutex::new(Champion {
-            score: f64::NEG_INFINITY,
-            worker: usize::MAX,
-            trace: Vec::new(),
-        });
         let slots: Vec<OnceLock<SolveResult>> = (0..n).map(|_| OnceLock::new()).collect();
         let panics = AtomicU64::new(0);
 
@@ -314,14 +293,14 @@ impl Portfolio {
                         // ordering: job-ticket counter; fetch_add's
                         // atomicity alone guarantees each index is handed
                         // out once, and results flow back through the
-                        // channel (whose lock orders them).
+                        // per-member slots, read after the scope joins.
                         let w = next_job.fetch_add(1, Ordering::Relaxed);
                         if w >= n {
                             break;
                         }
                         let wseed = Portfolio::worker_seed(seed, w as u64);
                         // Contain member panics: a panicking member forfeits
-                        // its slot, the survivors' champion still wins, and
+                        // its slot, the best survivor still wins, and
                         // the failure is counted instead of poisoning the
                         // whole portfolio (and the server worker above it).
                         // Unwinding drops the member's view with its run.
@@ -339,20 +318,6 @@ impl Portfolio {
                                 continue;
                             }
                         };
-                        // Publish to the shared champion. Strictly-better
-                        // (score, then lowest worker) replacement makes the
-                        // final champion independent of arrival order.
-                        {
-                            let mut ch = champion.lock().expect("champion lock poisoned");
-                            let better = result.score > ch.score
-                                || (result.score == ch.score && w < ch.worker);
-                            if better {
-                                ch.score = result.score;
-                                ch.worker = w;
-                                ch.trace.push((w, result.score));
-                                epoch.fetch_add(1, Ordering::Release);
-                            }
-                        }
                         slots[w].set(result).expect("each job index runs once");
                     }
                 });
@@ -393,17 +358,10 @@ impl Portfolio {
         result.iterations = members.iter().map(|m| m.result.iterations).sum();
         result.timed_out = members.iter().any(|m| m.result.timed_out);
         debug_validate_result(objective, &result);
-
-        let champion = champion.into_inner().expect("champion lock poisoned");
-        debug_assert_eq!(
-            champion.worker, winner,
-            "racing champion folds to the same winner as the ordered scan"
-        );
         PortfolioRun {
             winner,
             result,
             members,
-            champion_trace: champion.trace,
             member_panics: panics.into_inner(),
         }
     }
@@ -554,25 +512,6 @@ mod tests {
             .position(|m| m.result.score == best)
             .unwrap();
         assert_eq!(run.winner, first_best);
-    }
-
-    #[test]
-    fn champion_trace_is_monotone() {
-        let obj = toy();
-        let run = Portfolio::from_spec("tabu,sls,anneal,pso", 4, DEFAULT_MAX_EVALUATIONS)
-            .unwrap()
-            .threads(8)
-            .run(&obj, 3);
-        assert!(!run.champion_trace.is_empty());
-        for w in run.champion_trace.windows(2) {
-            assert!(
-                w[1].1 >= w[0].1,
-                "trace regressed: {:?}",
-                run.champion_trace
-            );
-        }
-        let (_, last) = *run.champion_trace.last().unwrap();
-        assert_eq!(last, run.result.score);
     }
 
     #[test]

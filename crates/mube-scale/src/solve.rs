@@ -18,7 +18,9 @@
 //!    validated with the unchanged [`SolutionValidator`].
 //!
 //! Both solves share one [`CancelToken`], so a wall-clock budget bounds the
-//! whole pipeline with anytime semantics.
+//! whole pipeline with anytime semantics: if the deadline fires mid-coarse,
+//! the expansion still sees the best coarse incumbent and the fine solve
+//! still returns a feasible (if unimproved) solution.
 
 use std::sync::Arc;
 
@@ -31,12 +33,17 @@ use mube_core::source::Universe;
 use mube_core::validate::SolutionValidator;
 use mube_core::SourceId;
 use mube_match::{ClusterMatcher, JaccardNGram};
-use mube_opt::{solve_two_level, CancelToken, SubsetSolver};
+use mube_opt::{CancelToken, Start, SubsetSolver};
 
 use crate::cluster::{build_representatives, cluster_universe};
 use crate::lsh::{block_with_threads, LshConfig};
 use crate::relevance::{top_k, RelevanceQuery, ScoringTable};
 use crate::stream::SourceStream;
+
+/// Seed-stream separator between the coarse and fine solves, so the two
+/// levels never replay the same random walk. Odd constant, same derivation
+/// idiom as the portfolio's per-worker streams.
+const FINE_STREAM: u64 = 0x517C_C1B7_2722_0A95;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -181,61 +188,59 @@ pub fn scale_solve(
         coarse_c,
     )?;
 
-    // Stages 3+4: coarse solve, expand winners, fine solve.
-    let two = solve_two_level(&coarse_problem, solver, opts.seed, cancel, |winners| {
-        let mut positions: Vec<usize> = winners
-            .iter()
-            .flat_map(|&c| reps[c].members.iter().copied())
-            .collect();
-        positions.sort_unstable();
-        let mut builder = Universe::builder();
-        let mut required = Vec::new();
-        for &p in &positions {
-            let record = records[p].clone();
-            let pinned = opts.pins.contains(&record.name);
-            let id = builder.add_source(record.into_spec());
-            if pinned {
-                required.push(id);
-            }
-        }
-        let fine_u = Arc::new(
-            builder
-                .build()
-                .expect("expanded survivor records form a valid universe"),
-        );
-        let fine_m = opts.max_sources.clamp(1, fine_u.len());
-        let mut fine_c = Constraints::with_max_sources(fine_m)
-            .theta(opts.theta)
-            .beta(opts.beta.min(fine_m));
-        for id in required {
-            fine_c = fine_c.require_source(id);
-        }
-        Problem::new(
-            Arc::clone(&fine_u),
-            Arc::new(ClusterMatcher::new(
-                Arc::clone(&fine_u),
-                JaccardNGram::trigram(),
-            )),
-            qefs.clone(),
-            fine_c,
-        )
-        .expect("pins were pre-validated and expansion preserves them")
-    });
+    // Stage 3: coarse solve.
+    let coarse = solver.solve_with(&coarse_problem, opts.seed, Start::Cold, cancel);
 
-    let fine_problem = two.objective;
-    let sources: std::collections::BTreeSet<SourceId> = two
-        .fine
+    // Stage 4: expand the winning clusters into a fine sub-universe.
+    let mut positions: Vec<usize> = coarse
         .selected
         .iter()
-        .map(|&i| SourceId(i as u32))
+        .flat_map(|&c| reps[c].members.iter().copied())
         .collect();
+    positions.sort_unstable();
+    let mut builder = Universe::builder();
+    let mut required = Vec::new();
+    for &p in &positions {
+        let record = records[p].clone();
+        let pinned = opts.pins.contains(&record.name);
+        let id = builder.add_source(record.into_spec());
+        if pinned {
+            required.push(id);
+        }
+    }
+    let fine_u = Arc::new(
+        builder
+            .build()
+            .expect("expanded survivor records form a valid universe"),
+    );
+    let fine_m = opts.max_sources.clamp(1, fine_u.len());
+    let mut fine_c = Constraints::with_max_sources(fine_m)
+        .theta(opts.theta)
+        .beta(opts.beta.min(fine_m));
+    for id in required {
+        fine_c = fine_c.require_source(id);
+    }
+    let fine_problem = Problem::new(
+        Arc::clone(&fine_u),
+        Arc::new(ClusterMatcher::new(
+            Arc::clone(&fine_u),
+            JaccardNGram::trigram(),
+        )),
+        qefs,
+        fine_c,
+    )
+    .expect("pins were pre-validated and expansion preserves them");
+    let fine = solver.solve_with(&fine_problem, opts.seed ^ FINE_STREAM, Start::Cold, cancel);
+
+    let sources: std::collections::BTreeSet<SourceId> =
+        fine.selected.iter().map(|&i| SourceId(i as u32)).collect();
     let CandidateEval::Feasible(mut solution) = fine_problem.evaluate(&sources) else {
         return Err(MubeError::ConstraintConflict {
             detail: "no feasible solution found within the budget".into(),
         });
     };
-    solution.evaluations = two.coarse.evaluations + two.fine.evaluations;
-    solution.timed_out = two.coarse.timed_out || two.fine.timed_out;
+    solution.evaluations = coarse.evaluations + fine.evaluations;
+    solution.timed_out = coarse.timed_out || fine.timed_out;
 
     // The existing validator must pass unchanged on the stitched solution.
     SolutionValidator::for_problem(&fine_problem).validate(&solution)?;
@@ -244,15 +249,14 @@ pub fn scale_solve(
         catalog_sources,
         survivors: records.len(),
         clusters: reps.len(),
-        selected_clusters: two
-            .coarse
+        selected_clusters: coarse
             .selected
             .iter()
             .map(|&c| reps[c].name.clone())
             .collect(),
-        expanded: fine_problem.universe().len(),
-        coarse_quality: two.coarse.score,
-        universe: Arc::clone(fine_problem.universe()),
+        expanded: fine_u.len(),
+        coarse_quality: coarse.score,
+        universe: fine_u,
         solution,
     })
 }
@@ -310,6 +314,42 @@ mod tests {
         assert_eq!(a.solution.sources, b.solution.sources);
         assert_eq!(a.solution.quality.to_bits(), b.solution.quality.to_bits());
         assert_eq!(a.selected_clusters, b.selected_clusters);
+    }
+
+    /// Pins the output of both levels, so a change to how the coarse and
+    /// fine solves are seeded or chained shows here.
+    #[test]
+    fn output_is_pinned() {
+        let s = stream(120, 7);
+        let report =
+            scale_solve(&s, &opts(5), &TabuSearch::default(), &CancelToken::none()).unwrap();
+        let names: Vec<&str> = report
+            .solution
+            .sources
+            .iter()
+            .map(|&id| {
+                report
+                    .universe
+                    .get(id)
+                    .expect("selected id resolves")
+                    .name()
+            })
+            .collect();
+        assert_eq!(
+            report.selected_clusters,
+            [
+                "c0001~site0001",
+                "c0007~site0046",
+                "c0009~site0095",
+                "c0011~site0114",
+                "c0013~site0118"
+            ]
+        );
+        assert_eq!(
+            names,
+            ["site0009", "site0026", "site0079", "site0104", "site0118"]
+        );
+        assert_eq!(report.solution.quality.to_bits(), 4_604_943_815_063_270_754);
     }
 
     #[test]

@@ -192,109 +192,27 @@ pub fn generate_mixed(
     domains: &[crate::domains::DomainKind],
     seed: u64,
 ) -> SynthUniverse {
-    assert!(config.num_sources > 0, "need at least one source");
-    assert!(!domains.is_empty(), "need at least one domain");
-    assert!(
-        config.max_cardinality <= config.pool.pool_size(),
-        "cardinalities cannot exceed the General pool"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let bases_by_domain: Vec<Vec<crate::schema_gen::GeneratedSchema>> = domains
-        .iter()
-        .map(|&domain| {
-            let cfg = SchemaGenConfig {
-                domain,
-                ..config.schema.clone()
-            };
-            base_schemas(&cfg, &mut rng)
-        })
-        .collect();
-    let zipf = BoundedZipf::new(
-        config.min_cardinality,
-        config.max_cardinality,
-        config.zipf_alpha,
-    );
-    let mttf = Normal::new(config.mttf_mean, config.mttf_std);
-    let pcsa = config.pcsa();
-
+    // Every source draws in turn from the one setup stream, continuing
+    // after the base schemas.
+    let (stream, mut rng) = StreamingUniverse::setup(config.clone(), domains, seed);
     let mut builder = Universe::builder();
     let mut ground_truth = GroundTruth::default();
     let mut windows = Vec::with_capacity(config.num_sources);
     let mut unperturbed = Vec::new();
 
     for i in 0..config.num_sources {
-        let domain_idx = i % domains.len();
-        let bases = &bases_by_domain[domain_idx];
-        let domain_cfg = SchemaGenConfig {
-            domain: domains[domain_idx],
-            ..config.schema.clone()
-        };
-        // The first round(s) of sources are fully conformant bases; the
-        // rest are perturbed copies of random bases of their domain.
-        let generated = if i / domains.len() < bases.len() && i < bases.len() * domains.len() {
-            bases[i / domains.len()].clone()
-        } else {
-            let base = &bases[rng.random_range(0..bases.len())];
-            perturb(base, &domain_cfg, &mut rng)
-        };
-
-        let cardinality = zipf.sample(&mut rng);
-        let is_specialty = rng.random::<f64>() < config.specialty_source_fraction;
-        let specialty_len = if is_specialty {
-            ((cardinality as f64 * config.specialty_tuple_fraction) as u64).max(1)
-        } else {
-            0
-        };
-        let general_len = cardinality - specialty_len;
-        let mut intervals = config.pool.window(
-            Pool::General,
-            rng.random_range(0..config.pool.pool_size()),
-            general_len,
-        );
-        if specialty_len > 0 {
-            intervals.extend(config.pool.window(
-                Pool::Specialty,
-                rng.random_range(0..config.pool.pool_size()),
-                specialty_len,
-            ));
-        }
-        let tuple_windows = TupleWindows::new(intervals);
-        // Window overlap within one source merges intervals, so use the
-        // realized distinct count as the reported cardinality.
-        let realized = tuple_windows.cardinality();
-        let signature = tuple_windows.signature(pcsa.clone());
-
-        let mttf_days = mttf.sample_at_least(&mut rng, 1.0);
-        // Fault-profile characteristics (latency, availability) are drawn
-        // from a per-source stream independent of the main one, so adding
-        // them preserves every previously generated value byte-for-byte.
-        let mut fault_rng =
-            StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1));
-        let latency_ms = Normal::new(config.latency_mean_ms, config.latency_std_ms)
-            .sample_at_least(&mut fault_rng, 5.0);
-        let downtime = Normal::new(config.downtime_mean, config.downtime_std)
-            .sample_at_least(&mut fault_rng, 0.1);
-        let availability = mttf_days / (mttf_days + downtime);
-        let spec = SourceSpec::new(
-            format!("site{i:04}"),
-            Schema::new(generated.names().map(str::to_string)),
-        )
-        .cardinality(realized)
-        .signature(signature)
-        .characteristic("mttf", mttf_days)
-        .characteristic("latency", latency_ms)
-        .characteristic("availability", availability);
-        let sid = builder.add_source(spec);
-
-        if !generated.perturbed {
+        let (source, concepts) = stream.synthesize(i, &mut rng);
+        let perturbed = source.perturbed;
+        windows.push(source.windows.clone());
+        let sid = builder.add_source(source.into_spec());
+        if !perturbed {
             unperturbed.push(sid);
         }
-        for (j, (_, concept)) in generated.attrs.iter().enumerate() {
+        for (j, concept) in concepts.into_iter().enumerate() {
             if let Some(c) = concept {
-                ground_truth.insert(mube_core::ids::AttrId::new(sid, j as u32), *c);
+                ground_truth.insert(mube_core::ids::AttrId::new(sid, j as u32), c);
             }
         }
-        windows.push(tuple_windows);
     }
 
     let universe = Arc::new(builder.build().expect("generated universes are valid"));
@@ -303,7 +221,7 @@ pub fn generate_mixed(
         ground_truth,
         windows,
         unperturbed,
-        config: config.clone(),
+        config: stream.config,
     }
 }
 
@@ -311,8 +229,9 @@ pub fn generate_mixed(
 /// cardinality, tuple windows) from the shared setup stream. Odd, so the
 /// multiplied per-source offsets never collide.
 const CONTENT_STREAM: u64 = 0xD1B5_4A32_D192_ED03;
-/// Stream-constant for the per-source *fault profile* draw, matching the
-/// derivation [`generate_mixed`] uses for its fault characteristics.
+/// Stream-constant for the per-source *fault profile* draw (latency,
+/// availability), independent of the content stream so adding the fault
+/// characteristics left every earlier generated value unchanged.
 const FAULT_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One source emitted by a [`StreamingUniverse`].
@@ -395,6 +314,17 @@ impl StreamingUniverse {
     /// Sets up a stream whose sources cycle through several BAMM domains,
     /// mirroring [`generate_mixed`].
     pub fn mixed(config: SynthConfig, domains: &[crate::domains::DomainKind], seed: u64) -> Self {
+        Self::setup(config, domains, seed).0
+    }
+
+    /// Sets up the stream and returns it with the setup RNG, positioned
+    /// just after the base schemas ([`generate_mixed`] draws every source
+    /// from it in turn).
+    fn setup(
+        config: SynthConfig,
+        domains: &[crate::domains::DomainKind],
+        seed: u64,
+    ) -> (Self, StdRng) {
         assert!(config.num_sources > 0, "need at least one source");
         assert!(!domains.is_empty(), "need at least one domain");
         assert!(
@@ -420,14 +350,15 @@ impl StreamingUniverse {
             config.zipf_alpha,
         );
         let pcsa = config.pcsa();
-        StreamingUniverse {
+        let stream = StreamingUniverse {
             config,
             domains: domains.to_vec(),
             seed,
             bases_by_domain,
             zipf,
             pcsa,
-        }
+        };
+        (stream, setup_rng)
     }
 
     /// Number of sources the stream emits.
@@ -458,57 +389,67 @@ impl StreamingUniverse {
     /// Panics if `index >= self.len()`.
     pub fn source(&self, index: usize) -> StreamedSource {
         assert!(index < self.len(), "source index {index} out of range");
-        let i = index;
+        let mut rng =
+            StdRng::seed_from_u64(self.seed ^ CONTENT_STREAM.wrapping_mul(index as u64 + 1));
+        self.synthesize(index, &mut rng).0
+    }
+
+    /// Draws source `i`'s content from `rng` — base or perturbed schema,
+    /// Zipf cardinality, specialty split, pool windows, MTTF, in that
+    /// order — and its fault profile from the source's own `FAULT_STREAM`.
+    /// Returns the source and its attributes' ground-truth concepts.
+    fn synthesize(&self, i: usize, rng: &mut StdRng) -> (StreamedSource, Vec<Option<usize>>) {
+        let config = &self.config;
         let domain_idx = i % self.domains.len();
         let bases = &self.bases_by_domain[domain_idx];
-        let domain_cfg = SchemaGenConfig {
-            domain: self.domains[domain_idx],
-            ..self.config.schema.clone()
-        };
-        let mut rng = StdRng::seed_from_u64(self.seed ^ CONTENT_STREAM.wrapping_mul(i as u64 + 1));
-        // Same conformant-prefix rule as generate_mixed: the first
-        // |bases| × |domains| sources are unperturbed bases.
+        // The first |bases| × |domains| sources are fully conformant bases;
+        // the rest are perturbed copies of random bases of their domain.
         let generated = if i < bases.len() * self.domains.len() {
             bases[i / self.domains.len()].clone()
         } else {
             let base = &bases[rng.random_range(0..bases.len())];
-            perturb(base, &domain_cfg, &mut rng)
+            let domain_cfg = SchemaGenConfig {
+                domain: self.domains[domain_idx],
+                ..config.schema.clone()
+            };
+            perturb(base, &domain_cfg, rng)
         };
 
-        let cardinality = self.zipf.sample(&mut rng);
-        let is_specialty = rng.random::<f64>() < self.config.specialty_source_fraction;
+        let cardinality = self.zipf.sample(rng);
+        let is_specialty = rng.random::<f64>() < config.specialty_source_fraction;
         let specialty_len = if is_specialty {
-            ((cardinality as f64 * self.config.specialty_tuple_fraction) as u64).max(1)
+            ((cardinality as f64 * config.specialty_tuple_fraction) as u64).max(1)
         } else {
             0
         };
         let general_len = cardinality - specialty_len;
-        let mut intervals = self.config.pool.window(
+        let mut intervals = config.pool.window(
             Pool::General,
-            rng.random_range(0..self.config.pool.pool_size()),
+            rng.random_range(0..config.pool.pool_size()),
             general_len,
         );
         if specialty_len > 0 {
-            intervals.extend(self.config.pool.window(
+            intervals.extend(config.pool.window(
                 Pool::Specialty,
-                rng.random_range(0..self.config.pool.pool_size()),
+                rng.random_range(0..config.pool.pool_size()),
                 specialty_len,
             ));
         }
         let windows = TupleWindows::new(intervals);
+        // Window overlap within one source merges intervals, so use the
+        // realized distinct count as the reported cardinality.
         let realized = windows.cardinality();
 
-        let mttf_days =
-            Normal::new(self.config.mttf_mean, self.config.mttf_std).sample_at_least(&mut rng, 1.0);
+        let mttf_days = Normal::new(config.mttf_mean, config.mttf_std).sample_at_least(rng, 1.0);
         let mut fault_rng =
             StdRng::seed_from_u64(self.seed ^ FAULT_STREAM.wrapping_mul(i as u64 + 1));
-        let latency_ms = Normal::new(self.config.latency_mean_ms, self.config.latency_std_ms)
+        let latency_ms = Normal::new(config.latency_mean_ms, config.latency_std_ms)
             .sample_at_least(&mut fault_rng, 5.0);
-        let downtime = Normal::new(self.config.downtime_mean, self.config.downtime_std)
+        let downtime = Normal::new(config.downtime_mean, config.downtime_std)
             .sample_at_least(&mut fault_rng, 0.1);
         let availability = mttf_days / (mttf_days + downtime);
 
-        StreamedSource {
+        let source = StreamedSource {
             index: i,
             name: format!("site{i:04}"),
             schema: Schema::new(generated.names().map(str::to_string)),
@@ -521,7 +462,9 @@ impl StreamingUniverse {
                 ("availability", availability),
             ],
             pcsa: self.pcsa.clone(),
-        }
+        };
+        let concepts = generated.attrs.into_iter().map(|(_, c)| c).collect();
+        (source, concepts)
     }
 
     /// Iterates over all sources in index order, synthesizing one at a time.

@@ -1,7 +1,7 @@
 //! The portfolio's determinism contract, end to end: for a fixed seed the
 //! `mube solve --json` output is **byte-identical** no matter how many
-//! threads run the portfolio, and the shared champion behaves as an
-//! order-independent monotone fold even under heavy thread churn.
+//! threads run the portfolio, and under heavy thread churn the winner
+//! replays exactly single-threaded.
 
 use std::collections::BTreeSet;
 
@@ -49,10 +49,9 @@ fn cli_json_is_byte_identical_across_thread_counts() {
 }
 
 /// A 16-member portfolio hammered across 8 OS threads for 50 independent
-/// runs: every champion trace must be monotone non-decreasing, end at the
-/// returned score, and the winner must replay identically single-threaded.
+/// runs: the winner and its result must replay identically single-threaded.
 #[test]
-fn stress_champion_is_monotone_under_contention() {
+fn stress_winner_replays_single_threaded_under_contention() {
     let fx = Fixture::new(18, 77);
     let problem = fx.problem(Constraints::with_max_sources(6).theta(0.6));
     let portfolio = ci_portfolio(4, 8);
@@ -60,23 +59,6 @@ fn stress_champion_is_monotone_under_contention() {
     let serial = ci_portfolio(4, 1);
     for iteration in 0..50u64 {
         let run = portfolio.run(&problem, iteration);
-        assert!(
-            !run.champion_trace.is_empty(),
-            "iteration {iteration}: no champion was ever published"
-        );
-        for w in run.champion_trace.windows(2) {
-            assert!(
-                w[1].1 >= w[0].1,
-                "iteration {iteration}: champion regressed {:?}",
-                run.champion_trace
-            );
-        }
-        let (_, last) = *run.champion_trace.last().unwrap();
-        assert_eq!(
-            last.to_bits(),
-            run.result.score.to_bits(),
-            "iteration {iteration}: trace does not end at the winner"
-        );
         // Scheduling independence: a single-threaded replay of the same
         // seed reproduces the winner and its selection exactly.
         let replay = serial.run(&problem, iteration);

@@ -3,115 +3,17 @@
 //! diverged (quarantined) follower back to health with a full copy from the
 //! leader — all against real servers on ephemeral ports.
 
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-use mube_core::catalog;
-use mube_integration::TestDir;
-use mube_serve::{Event, FsyncPolicy, Journal, Json, ServeConfig, Server, ServerHandle};
-use mube_synth::{generate, SynthConfig};
-
-type Spawned = (ServerHandle, std::thread::JoinHandle<std::io::Result<()>>);
+use mube_integration::{
+    catalog_text, err_code, follower_config, healthz, leader_config, request, spawn,
+    upload_catalog, wait_healthz, TestDir,
+};
+use mube_serve::{Event, FsyncPolicy, Journal, Json, ServeConfig};
 
 fn fresh_dir(tag: &str) -> TestDir {
     TestDir::new("selfheal-test", tag)
-}
-
-fn leader_config(dir: &std::path::Path) -> ServeConfig {
-    ServeConfig {
-        threads: 2,
-        max_solve_evaluations: 600,
-        data_dir: Some(dir.display().to_string()),
-        fsync: FsyncPolicy::Always,
-        repl_addr: Some("127.0.0.1:0".to_string()),
-        heartbeat_interval: Duration::from_millis(100),
-        read_timeout: Duration::from_secs(1),
-        ..ServeConfig::default()
-    }
-}
-
-fn follower_config(dir: &std::path::Path, leader: SocketAddr) -> ServeConfig {
-    ServeConfig {
-        threads: 2,
-        max_solve_evaluations: 600,
-        data_dir: Some(dir.display().to_string()),
-        fsync: FsyncPolicy::Always,
-        follow: Some(leader.to_string()),
-        heartbeat_interval: Duration::from_millis(100),
-        read_timeout: Duration::from_millis(400),
-        ..ServeConfig::default()
-    }
-}
-
-fn spawn(config: ServeConfig) -> Spawned {
-    Server::spawn(config).expect("bind test server")
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Json) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {raw:?}"));
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    let parsed = Json::parse(&body).unwrap_or_else(|e| panic!("bad JSON body {body:?}: {e}"));
-    (status, parsed)
-}
-
-fn catalog_text(sources: usize, seed: u64) -> String {
-    catalog::to_text(&generate(&SynthConfig::small(sources), seed).universe)
-}
-
-fn upload_catalog(addr: SocketAddr, sources: usize, seed: u64) -> u64 {
-    let mut j = mube_core::jsonw::JsonBuf::new();
-    j.begin_obj();
-    j.key("catalog").str_value(&catalog_text(sources, seed));
-    j.end_obj();
-    let (status, body) = request(addr, "POST", "/catalogs", &j.finish());
-    assert_eq!(status, 201, "{body:?}");
-    body.get("catalog").and_then(Json::as_u64).expect("id")
-}
-
-fn healthz(addr: SocketAddr) -> Json {
-    let (status, v) = request(addr, "GET", "/healthz", "");
-    assert_eq!(status, 200, "{v:?}");
-    v
-}
-
-fn wait_healthz(addr: SocketAddr, what: &str, pred: impl Fn(&Json) -> bool) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let mut last = Json::Obj(Vec::new());
-    while Instant::now() < deadline {
-        last = healthz(addr);
-        if pred(&last) {
-            return last;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    panic!("timed out waiting for {what}; last healthz: {last:?}");
-}
-
-fn err_code(v: &Json) -> &str {
-    v.get("error")
-        .and_then(|e| e.get("code"))
-        .and_then(Json::as_str)
-        .unwrap_or("")
 }
 
 fn quarantine_count(dir: &std::path::Path) -> usize {
